@@ -392,9 +392,9 @@ class LatencyDigest:
                 "sketch-mode digest retains no raw samples; use "
                 "percentile()/minimum()/maximum() or the sketch itself"
             )
-        view = np.frombuffer(self._values, dtype=np.float64)
-        view.flags.writeable = False
-        return view
+        # A view of a read-only buffer is read-only itself, which is
+        # cheaper than clearing the writeable flag on every call.
+        return np.frombuffer(memoryview(self._values).toreadonly(), np.float64)
 
 
 class GroupedDailyAggregates:

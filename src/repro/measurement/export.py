@@ -40,6 +40,8 @@ from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, IO, Iterator, List, Optional, Tuple, Union
 
+import numpy as np
+
 from repro.errors import MeasurementError, StorageError
 from repro.clients.population import ClientPrefix
 from repro.geo.coords import GeoPoint
@@ -79,8 +81,9 @@ _DIFF_CHUNK = 100_000
 _log = get_logger("export")
 
 
-def _pack_doubles(values) -> str:
-    return base64.b64encode(array("d", values).tobytes()).decode("ascii")
+def _pack_doubles(values: np.ndarray) -> str:
+    """Base64 of a float64 array's bytes."""
+    return base64.b64encode(values.tobytes()).decode("ascii")
 
 
 def _unpack_doubles(text: str) -> array:
@@ -235,17 +238,18 @@ def _passive_from_obj(obj: Dict[str, Any]) -> PassiveLog:
 def _diffs_slice_obj(
     diffs: RequestDiffLog, start: int, stop: int
 ) -> Dict[str, Any]:
+    def column(values: array) -> str:
+        return _pack_doubles(
+            np.asarray(values[start:stop], dtype=np.float64)
+        )
+
     return {
         "region_names": list(diffs.region_names),
-        "day": _pack_doubles(float(x) for x in diffs._day[start:stop]),
-        "client_index": _pack_doubles(
-            float(x) for x in diffs._client_index[start:stop]
-        ),
-        "region_code": _pack_doubles(
-            float(x) for x in diffs._region_code[start:stop]
-        ),
-        "anycast": _pack_doubles(diffs._anycast[start:stop]),
-        "best_unicast": _pack_doubles(diffs._best_unicast[start:stop]),
+        "day": column(diffs._day),
+        "client_index": column(diffs._client_index),
+        "region_code": column(diffs._region_code),
+        "anycast": column(diffs._anycast),
+        "best_unicast": column(diffs._best_unicast),
     }
 
 
@@ -311,7 +315,7 @@ def dataset_to_json(dataset: StudyDataset) -> Dict[str, Any]:
     """Serialize a dataset to a legacy (v1) JSON document.
 
     Kept for in-memory round trips and compatibility; files written by
-    :func:`save_dataset` use the framed v2 format instead.
+    :func:`save_dataset` use the framed v3 format instead.
     """
     return {
         "format_version": LEGACY_FORMAT_VERSION,
@@ -712,7 +716,7 @@ def save_dataset(
     path_or_file: Union[str, IO[str]],
     columnar: bool = True,
 ) -> None:
-    """Write a dataset as a crash-safe framed (v2) export.
+    """Write a dataset as a crash-safe framed (v3) export.
 
     Paths are written via temp file + atomic rename, so an interrupted
     save never leaves a torn file at the destination.  Saves to a path
@@ -746,7 +750,7 @@ def _read_text(path_or_file: Union[str, IO[str]]) -> Tuple[str, str]:
 def load_dataset(
     path_or_file: Union[str, IO[str]], columnar: bool = True
 ) -> StudyDataset:
-    """Read a dataset export (framed v2, or a legacy v1 JSON document).
+    """Read a dataset export (framed v2 or v3, or a legacy v1 JSON document).
 
     Strict: a damaged v2 file raises :class:`StorageError` (use
     :func:`recover_dataset` to salvage), and a version-less or

@@ -525,11 +525,8 @@ class LatencySketch:
 
     def digest(self) -> str:
         """Canonical SHA-256 fingerprint of the sketch's contents."""
-        h = hashlib.sha256()
-        for part in self.canonical_state():
-            h.update(str(part).encode("utf-8"))
-            h.update(b"\x1f")
-        return h.hexdigest()
+        text = "".join(f"{part}\x1f" for part in self.canonical_state())
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     def column_state(self) -> Dict[str, Any]:
         """Columnar state for zero-copy transport: sorted key/count

@@ -25,13 +25,11 @@ arrival order, shard interleaving, and eviction batching
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, Optional, Tuple
-
-import numpy as np
 
 from repro.errors import ConfigurationError, MeasurementError
 from repro.measurement.aggregate import GroupedDailyAggregates
+from repro.measurement.canonical import CanonicalHash, aggregate_day_parts
 from repro.measurement.export import digest_from_payload, digest_payload
 from repro.measurement.sketch import (
     DEFAULT_MAX_BUCKETS,
@@ -173,35 +171,18 @@ class PredictionWindow:
         """Canonical SHA-256 of the retained window state.
 
         Fully sorted traversal, samples canonicalized by sorting, floats
-        hashed by exact ``repr`` — the same discipline as
-        :meth:`repro.simulation.dataset.StudyDataset.digest`, so the
-        digest is a pure function of the in-window event multiset.
+        hashed by exact ``repr`` — the per-day aggregate stream of
+        :meth:`repro.simulation.dataset.StudyDataset.digest`
+        (:mod:`repro.measurement.canonical`), so the digest is a pure
+        function of the in-window event multiset.
         """
-        h = hashlib.sha256()
-
-        def put(*parts: object) -> None:
-            for part in parts:
-                h.update(str(part).encode("utf-8"))
-                h.update(b"\x1f")
-
-        put("window", self.window_days)
+        stream = CanonicalHash()
+        stream.put("window", self.window_days)
         for day in self.days:
-            ecs, ldns = self._days[day]
-            for aggregates in (ecs, ldns):
-                put("plane", aggregates.grouping, day)
-                for group in aggregates.groups_on(day):
-                    for target_id, digest in sorted(
-                        aggregates.targets_for(day, group).items()
-                    ):
-                        put(day, group, target_id)
-                        if digest.is_exact:
-                            ordered = np.sort(digest.values_view()).tolist()
-                            for value in ordered:
-                                put(repr(value))
-                        else:
-                            assert digest.sketch is not None
-                            put("sketch", digest.sketch.digest())
-        return h.hexdigest()
+            for aggregates in self._days[day]:
+                stream.put("plane", aggregates.grouping, day)
+                stream.put_parts(aggregate_day_parts(aggregates, day))
+        return stream.hexdigest()
 
     # ------------------------------------------------------------------
     # Serialization (service checkpoints)

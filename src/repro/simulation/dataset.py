@@ -20,16 +20,18 @@ the "partial but trustworthy" contract of the resilient executor in
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import MeasurementError
 from repro.clients.population import ClientPrefix
 from repro.measurement.aggregate import GroupedDailyAggregates, RequestDiffLog
+from repro.measurement.canonical import (
+    CanonicalHash,
+    aggregate_day_parts,
+    diff_row_parts,
+)
 from repro.measurement.logs import PassiveLog
 from repro.simulation.clock import SimulationCalendar
 
@@ -260,60 +262,51 @@ class StudyDataset:
         measurements — e.g. a serial run and a merged sharded run, whose
         shared-LDNS digests interleave samples differently — produce the
         same hex digest.  Floats hash by exact ``repr``; no tolerance.
+
+        The hash covers one stream of text parts, each followed by
+        ``\\x1f`` (:mod:`repro.measurement.canonical` writes it in bulk):
+
+        1. ``calendar``, start date, day count; ``clients``, client
+           count, then every client key in population order.
+        2. For the ECS then the LDNS aggregates: ``aggregates`` and the
+           grouping, then per day, group and target (each ascending)
+           ``day, group, target`` followed by the samples ascending
+           (exact) or ``sketch`` and the sketch digest (promoted).
+        3. ``request_diffs`` and the row count.  Bounded logs add
+           ``diff-sketches`` and per (day, region) ascending ``day,
+           region, sketch digest``; exact logs add per row ``day, client
+           index, region name, anycast, best unicast``, rows sorted by
+           (day, client index, anycast, best unicast).
+        4. ``passive``; bounded logs add ``totals`` and per day and
+           front end ``day, front end, count``; exact logs add per day,
+           client and front end ``day, client, front end, count``.
+        5. ``counts``, beacon count, measurement count; then only when
+           present, ``missing`` with the gap count and each gap's
+           ``start, stop``, and ``load`` with the load summary as
+           key-sorted JSON.
+
+        Wherever samples or RTTs sort, ``-0.0`` sorts before ``0.0``:
+        the two compare equal, and without this tie rule their input
+        order would reach the hash.  Datasets without ``-0.0`` hash as
+        before the rule existed.
         """
-        h = hashlib.sha256()
-
-        def put(*parts: object) -> None:
-            for part in parts:
-                h.update(str(part).encode("utf-8"))
-                h.update(b"\x1f")
-
+        stream = CanonicalHash()
+        put = stream.put
         put("calendar", self.calendar.start.isoformat(), self.calendar.num_days)
         put("clients", len(self.clients))
-        for client in self.clients:
-            put(client.key)
+        stream.put_parts([client.key for client in self.clients])
         for aggregates in (self.ecs_aggregates, self.ldns_aggregates):
             put("aggregates", aggregates.grouping)
             for day in aggregates.days:
-                for group in aggregates.groups_on(day):
-                    for target_id, digest in sorted(
-                        aggregates.targets_for(day, group).items()
-                    ):
-                        put(day, group, target_id)
-                        if digest.is_exact:
-                            # tolist() yields Python floats, so repr
-                            # matches the historical sorted(values())
-                            # hashing byte for byte.
-                            ordered = np.sort(digest.values_view()).tolist()
-                            for value in ordered:
-                                put(repr(value))
-                        else:
-                            assert digest.sketch is not None
-                            put("sketch", digest.sketch.digest())
+                stream.put_parts(aggregate_day_parts(aggregates, day))
         put("request_diffs", len(self.request_diffs))
-        names = self.request_diffs.region_names
         if self.request_diffs.is_bounded:
             put("diff-sketches")
             sketches = self.request_diffs.day_region_sketches()
             for (day, region) in sorted(sketches):
                 put(day, region, sketches[(day, region)].digest())
         else:
-            for row in sorted(
-                self.request_diffs.rows(),
-                key=lambda r: (
-                    r.day,
-                    r.client_index,
-                    r.anycast_rtt_ms,
-                    r.best_unicast_rtt_ms,
-                ),
-            ):
-                put(
-                    row.day,
-                    row.client_index,
-                    names[row.region_code],
-                    repr(row.anycast_rtt_ms),
-                    repr(row.best_unicast_rtt_ms),
-                )
+            stream.put_parts(diff_row_parts(self.request_diffs))
         put("passive")
         if self.passive.is_bounded:
             put("totals")
@@ -323,12 +316,17 @@ class StudyDataset:
                 ):
                     put(day, frontend_id, count)
         else:
-            for day in self.passive.days:
-                for client_key in sorted(self.passive.clients_on(day)):
+            stream.put_parts(
+                [
+                    str(part)
+                    for day in self.passive.days
+                    for client_key in sorted(self.passive.clients_on(day))
                     for frontend_id, count in sorted(
                         self.passive.frontends_for(day, client_key).items()
-                    ):
-                        put(day, client_key, frontend_id, count)
+                    )
+                    for part in (day, client_key, frontend_id, count)
+                ]
+            )
         put("counts", self.beacon_count, self.measurement_count)
         # Only a *partial* dataset hashes its coverage: complete datasets
         # keep their historical digests, while a degraded campaign can
@@ -343,4 +341,4 @@ class StudyDataset:
         # the whole load timeline bit for bit.
         if self.load_summary is not None:
             put("load", json.dumps(self.load_summary, sort_keys=True))
-        return h.hexdigest()
+        return stream.hexdigest()

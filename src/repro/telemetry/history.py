@@ -267,6 +267,9 @@ def compare_records(
     baseline median, or a phase grows past ``(1 + threshold)`` of its
     baseline median *and* the absolute delta clears the noise floor
     (sub-50ms phases jitter too much on shared CI runners to gate on).
+    Also fails when the record's dataset digest differs from a baseline
+    record's (records without a digest are not compared): a group runs
+    one configuration, so a faster run over changed data is no speedup.
     """
     if not baseline:
         return ComparisonResult(
@@ -276,6 +279,16 @@ def compare_records(
         )
     failures: List[str] = []
     notes: List[str] = []
+
+    changed = sorted(
+        {item.dataset_digest for item in baseline}
+        - {None, record.dataset_digest}
+    )
+    if record.dataset_digest is not None and changed:
+        failures.append(
+            f"dataset digest changed: {record.dataset_digest[:16]} vs "
+            f"baseline {', '.join(digest[:16] for digest in changed)}"
+        )
 
     base_rate = statistics.median(
         item.beacons_per_second for item in baseline

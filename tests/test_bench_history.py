@@ -3,8 +3,9 @@
 Covers record construction from telemetry snapshots, the atomic ledger
 round-trip, and the gate semantics ``tools/bench_history.py`` relies
 on: groups with fewer than two records pass (non-blocking bootstrap),
->threshold throughput/phase regressions fail, sub-noise-floor phase
-jitter passes, and baselines never cross group boundaries.
+>threshold throughput/phase regressions fail, a changed dataset digest
+fails, sub-noise-floor phase jitter passes, and baselines never cross
+group boundaries.
 """
 
 import json
@@ -34,6 +35,7 @@ def make_record(
     engine: str = "vectorized",
     host: str = "host-a",
     config_hash: str = "cfg",
+    dataset_digest=None,
 ) -> PerfRecord:
     return PerfRecord(
         label=label,
@@ -44,6 +46,7 @@ def make_record(
         wall_seconds=1.0,
         beacons_per_second=rate,
         phase_seconds=dict(phases or {"campaign": 1.0}),
+        dataset_digest=dataset_digest,
     )
 
 
@@ -160,6 +163,32 @@ def test_noise_floor_absorbs_tiny_phase_jitter():
     )
     (result,) = check_history(history, threshold=0.20)
     assert result.ok
+
+
+def test_dataset_digest_change_fails_even_when_faster():
+    history = BenchHistory(
+        [
+            make_record(1000.0, dataset_digest="a" * 64),
+            make_record(1000.0, dataset_digest="a" * 64),
+            make_record(1500.0, dataset_digest="b" * 64),
+        ]
+    )
+    (result,) = check_history(history)
+    assert not result.ok
+    assert result.failures == (
+        f"dataset digest changed: {'b' * 16} vs baseline {'a' * 16}",
+    )
+
+
+def test_dataset_digest_compared_only_when_both_present():
+    digest = "a" * 64
+    for records in (
+        [make_record(dataset_digest=digest), make_record()],
+        [make_record(), make_record(dataset_digest=digest)],
+        [make_record(dataset_digest=digest)] * 2,
+    ):
+        (result,) = check_history(BenchHistory(records))
+        assert result.ok and result.comparable
 
 
 def test_groups_never_cross_compare():
