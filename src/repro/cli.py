@@ -42,7 +42,7 @@ from repro.core.study import AnycastStudy
 from repro.faults import FaultPlan
 from repro.faults.inject import InjectedCrashError
 from repro.geo.coords import haversine_km
-from repro.errors import StorageError
+from repro.errors import ReproError, StorageError
 from repro.measurement.export import load_dataset, recover_dataset, save_dataset
 from repro.measurement.sketch import (
     DEFAULT_MAX_BUCKETS,
@@ -1044,10 +1044,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Bad input the library rejects (any :class:`repro.errors.ReproError`,
+    e.g. an invalid population size or fault plan) prints one
+    ``error: <message>`` line on stderr and exits 2, like argparse.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

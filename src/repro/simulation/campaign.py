@@ -24,27 +24,36 @@ lets :class:`repro.simulation.parallel.ParallelCampaignRunner` split the
 population into contiguous shards, run them in separate processes, and
 merge the partial datasets into the exact dataset a serial run produces.
 
-**Engines.**  Two measurement engines share this campaign skeleton (day
-loop, churn/episode plans, passive traffic, query/beacon volumes — all
-identical between them):
+**Engines.**  Three measurement engines run on one day pipeline.  For
+each (day, client) the pipeline draws the workload (query and beacon
+volumes), records passive traffic, and computes every term the engines
+share — episode effect, anycast daily offset, load extras, dirty-record
+slots — once, then stages the client-day into the engine chosen at
+construction; ``run_day`` closes the day.  The engines differ only in
+how they synthesize beacon RTTs:
 
-* ``"reference"`` — the scalar oracle: every beacon fetch runs through
+* ``"reference"`` — :class:`_ReferenceBeaconEngine`, the scalar oracle:
+  at staging time every beacon fetch runs through
   :class:`repro.measurement.beacon.BeaconRunner` and draws one sample at
-  a time from the per-(client, day) ``random.Random`` stream;
-* ``"vectorized"`` — :class:`_VectorizedBeaconEngine`: each (client,
-  day) block of beacons is synthesized as numpy arrays from a
-  ``numpy.random.Generator`` derived from the same seed chain, and
-  flows into the sinks through bulk APIs.
+  a time from the client-day's ``random.Random`` stream;
+* ``"vectorized"`` — :class:`_VectorizedBeaconEngine`: at staging time
+  the client-day is synthesized as numpy blocks from the counter-based
+  streams of :mod:`repro.simulation.counterrng`;
+* ``"matrix"`` — :class:`_MatrixBeaconEngine`: staging queues the
+  client-day, and ``run_day`` synthesizes the whole day in cross-client
+  chunks from the same counter streams, bit-identical to
+  ``"vectorized"``.
 
 Each engine honors the determinism contract above *within itself*
-(serial ≡ sharded ≡ parallel for a fixed engine); the two engines'
-datasets agree statistically but not bit-for-bit, since they consume
-different random streams.
+(serial ≡ sharded ≡ parallel for a fixed engine); the reference engine
+agrees with the batched engines statistically but not bit-for-bit,
+since it consumes different random streams.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -112,8 +121,8 @@ class CampaignProgress:
     """One live progress observation of a running campaign.
 
     Serial runs emit one per completed day; sharded runs aggregate
-    worker heartbeats into these (days_completed is then the *minimum*
-    across shards — the day every shard has finished).
+    their shard workers' observations into these (days_completed is then
+    the *minimum* across shards — the day every shard has finished).
     """
 
     days_completed: int
@@ -146,15 +155,14 @@ class CampaignConfig:
 
     Attributes:
         beacon: Beacon methodology parameters.
-        progress_callback: Optional per-day hook ``f(day, num_days)`` for
-            long runs (the library never prints on its own).  Sharded
-            parallel runs aggregate worker heartbeats and invoke it once
-            per day fully completed across *all* shards, in day order.
-        progress_listener: Optional richer hook receiving
+        progress_listener: Optional hook receiving
             :class:`CampaignProgress` observations (beacons/s, shard
-            completion, retry counts) — what the CLI ``--progress``
-            ticker renders.  Like ``progress_callback``, honored by both
-            serial and sharded runs.
+            completion, retry counts) for long runs — what the CLI
+            ``--progress`` ticker renders; the library never prints on
+            its own.  Serial and sharded runs alike report each day
+            once it is complete (across *all* shards): the distinct
+            ``days_completed`` values seen are 1..N, in order.  Sharded
+            runs add throttled beacon-total updates in between.
         workers: Worker-process count for the campaign, or ``None`` to
             inherit :attr:`repro.simulation.scenario.ScenarioConfig.workers`.
         engine: Measurement engine — ``"reference"`` (scalar oracle),
@@ -241,7 +249,6 @@ class CampaignConfig:
     """
 
     beacon: BeaconConfig = BeaconConfig()
-    progress_callback: Optional[Callable[[int, int], None]] = None
     progress_listener: Optional[Callable[["CampaignProgress"], None]] = None
     workers: Optional[int] = None
     engine: Optional[str] = None
@@ -522,8 +529,9 @@ def _passive_routes(
     """Split a client-day's production queries across front-ends.
 
     The first (primary anycast) rank's share redistributes over the
-    client's landing distribution when load management moved it; the
-    integer remainder that lands nowhere is the shed-and-lost count.
+    client's landing distribution when load management moved it
+    (``landing`` is ``None`` when it did not, or when capacity is off);
+    the integer remainder that lands nowhere is the shed-and-lost count.
     Integer apportionment throughout, so per-shard partial sums equal
     the serial totals exactly.
     """
@@ -1149,6 +1157,156 @@ def _synthesize_rtts(
     return on_first, pick_indices, rtts
 
 
+class _ReferenceBeaconEngine:
+    """Scalar beacon synthesis: one Python call per beacon fetch.
+
+    The statistical oracle for the batched engines.  At staging time
+    every fetch of the client-day's sessions runs through
+    :class:`BeaconRunner` and draws its session rank, targets and jitter
+    from the client-day's ``random.Random`` — the object the day
+    pipeline drew the query and beacon volumes from, continued rather
+    than re-derived, because ``random.gauss`` caches its second normal
+    between calls.  Unicast daily offsets come from per-(day, client,
+    target) derived streams; joined rows reach the aggregates one sample
+    at a time through the backend's scalar observer.
+    """
+
+    def __init__(
+        self,
+        scenario: Scenario,
+        runner: BeaconRunner,
+        paths: "_PathCache",
+        request_diffs: RequestDiffLog,
+        ecs_aggregates: GroupedDailyAggregates,
+        ldns_aggregates: GroupedDailyAggregates,
+        gate: ValidationGate,
+        regions: Dict[str, str],
+        resource_timing: Dict[str, bool],
+    ) -> None:
+        def on_joined(row: JoinedMeasurement) -> None:
+            ecs_aggregates.observe(
+                row.day, row.client_key, row.target_id, row.rtt_ms
+            )
+            ldns_aggregates.observe(
+                row.day, row.ldns_id, row.target_id, row.rtt_ms
+            )
+
+        self.backend = BeaconBackend([on_joined])
+        self._scenario = scenario
+        self._runner = runner
+        self._paths = paths
+        self._request_diffs = request_diffs
+        self._gate = gate
+        self._regions = regions
+        self._resource_timing = resource_timing
+
+    def stage_client_day(
+        self,
+        day: int,
+        day_keys: DayKeys,
+        client: ClientPrefix,
+        client_index: int,
+        plan: DayRoutePlan,
+        beacons: int,
+        anycast_extra_ms: float,
+        degraded_frontend: Optional[str],
+        unicast_inflation_ms: float,
+        dirty_slots: Optional[Dict[int, FaultKind]],
+        load_extras: Optional[Dict[str, float]],
+        rng: random.Random,
+    ) -> None:
+        """Run and sink one client-day's ``beacons`` sessions."""
+        scenario = self._scenario
+        latency = scenario.latency_model
+        paths = self._paths
+        gate = self._gate
+        backend = self.backend
+        key = client.key
+        ldns_id = client.ldns_id
+        region = self._regions[key]
+        rt_supported = self._resource_timing[key]
+        day_start = scenario.calendar.seconds_at(day)
+        unicast_offsets: Dict[str, float] = {}
+
+        def serve(target_id: str) -> Tuple[str, float]:
+            if target_id == ANYCAST_TARGET:
+                # The current session's rank, drawn just before the fetch.
+                frontend_id, baseline = paths.anycast(key, session_rank)
+                extra = anycast_extra_ms
+            else:
+                frontend_id = target_id
+                baseline = paths.unicast(key, target_id)
+                offset = unicast_offsets.get(target_id)
+                if offset is None:
+                    offset = latency.sample_daily_variation_ms(
+                        derive_rng(
+                            scenario.config.seed, "daily-variation", day,
+                            key, target_id,
+                        ),
+                        anycast=False,
+                    )
+                    unicast_offsets[target_id] = offset
+                extra = offset
+                if load_extras:
+                    extra += load_extras.get(target_id, 0.0)
+                if target_id == degraded_frontend:
+                    extra += unicast_inflation_ms
+            rtt = baseline + latency.sample_jitter_ms(rng) + extra
+            return frontend_id, rtt
+
+        record_index = 0
+        for _ in range(beacons):
+            session_rank = plan.sample_rank(rng)
+            fetches = self._runner.run_beacon(
+                ldns_id=ldns_id,
+                resource_timing_supported=rt_supported,
+                serve=serve,
+                rng=rng,
+                now=day_start,
+            )
+            anycast_rtt: Optional[float] = None
+            best_unicast: Optional[float] = None
+            for fetch in fetches:
+                rtt_ms = fetch.rtt_ms
+                if dirty_slots:
+                    kind = dirty_slots.get(record_index)
+                    if kind is not None:
+                        rtt_ms = RecordFaultInjector.dirty_value(kind, rtt_ms)
+                admitted = gate.admit(day, key, record_index, rtt_ms)
+                record_index += 1
+                if admitted is None:
+                    # Quarantined: the record never reaches any log
+                    # stream, so it cannot join.
+                    continue
+                backend.on_dns(fetch.measurement_id, ldns_id, fetch.target_id)
+                backend.on_server(
+                    fetch.measurement_id, fetch.serving_frontend_id
+                )
+                backend.on_http(
+                    HttpLogEntry(
+                        day=day,
+                        measurement_id=fetch.measurement_id,
+                        client_key=key,
+                        rtt_ms=admitted,
+                        used_resource_timing=fetch.used_resource_timing,
+                    )
+                )
+                if fetch.target_id == ANYCAST_TARGET:
+                    anycast_rtt = admitted
+                elif best_unicast is None or admitted < best_unicast:
+                    best_unicast = admitted
+            if anycast_rtt is not None and best_unicast is not None:
+                self._request_diffs.observe(
+                    day, client_index, region, anycast_rtt, best_unicast
+                )
+
+    def run_day(self, day: int, day_keys: DayKeys) -> None:
+        """Close the day: expire the LDNS caches' entries."""
+        self._runner.purge_caches(
+            self._scenario.calendar.seconds_at(day) + 86_400.0
+        )
+
+
 class _VectorizedBeaconEngine:
     """Batched beacon synthesis: one numpy block per (client, day).
 
@@ -1186,38 +1344,56 @@ class _VectorizedBeaconEngine:
         selector: BeaconTargetSelector,
         paths: "_PathCache",
         beacon_config: BeaconConfig,
-        backend: BeaconBackend,
         request_diffs: RequestDiffLog,
+        ecs_aggregates: GroupedDailyAggregates,
+        ldns_aggregates: GroupedDailyAggregates,
         gate: ValidationGate,
+        regions: Dict[str, str],
+        resource_timing: Dict[str, bool],
+        telemetry: Telemetry,
     ) -> None:
-        self._scenario = scenario
+        def on_joined_batch(batch: JoinedBatch) -> None:
+            for segment in batch.segments:
+                ecs_aggregates.observe_many(
+                    batch.day, batch.client_key,
+                    segment.target_id, segment.rtts_ms,
+                )
+                ldns_aggregates.observe_many(
+                    batch.day, batch.ldns_id,
+                    segment.target_id, segment.rtts_ms,
+                )
+
+        self.backend = BeaconBackend(batch_observers=(on_joined_batch,))
         self._selector = selector
         self._paths = paths
         self._beacon_config = beacon_config
-        self._backend = backend
         self._request_diffs = request_diffs
         self._gate = gate
+        self._regions = regions
+        self._resource_timing = resource_timing
         self._latency = scenario.latency_model
-        self._seed = scenario.config.seed
         self._layout = _layout_for(beacon_config)
+        self._batches = telemetry.counter(
+            "engine.vectorized.batches_total",
+            "(client, day) blocks synthesized as numpy batches",
+        )
 
-    def run_client_day(
+    def stage_client_day(
         self,
         day: int,
         day_keys: DayKeys,
         client: ClientPrefix,
         client_index: int,
-        region: str,
-        resource_timing_supported: bool,
         plan: DayRoutePlan,
         beacons: int,
         anycast_extra_ms: float,
         degraded_frontend: Optional[str],
         unicast_inflation_ms: float,
-        dirty_slots: Optional[Dict[int, FaultKind]] = None,
-        load_extras: Optional[Dict[str, float]] = None,
+        dirty_slots: Optional[Dict[int, FaultKind]],
+        load_extras: Optional[Dict[str, float]],
+        rng: random.Random,
     ) -> None:
-        """Synthesize and sink one client-day's ``beacons`` sessions.
+        """Synthesize and sink one client-day's ``beacons`` sessions now.
 
         Days up to ``_MAX_BLOCK_BEACONS`` sessions run as a single
         block.  Heavier days (large simulated populations behind one
@@ -1299,8 +1475,8 @@ class _VectorizedBeaconEngine:
                 key,
                 ldns_id,
                 client_index,
-                region,
-                resource_timing_supported,
+                self._regions[key],
+                self._resource_timing[key],
                 dual_rank,
                 frac0,
                 anycast_fixed0,
@@ -1316,6 +1492,10 @@ class _VectorizedBeaconEngine:
                 start,
                 dirty_slots,
             )
+        self._batches.inc()
+
+    def run_day(self, day: int, day_keys: DayKeys) -> None:
+        """Nothing to close: every client-day ran at staging time."""
 
     def _run_block(
         self,
@@ -1448,7 +1628,7 @@ class _VectorizedBeaconEngine:
                 if pick_ok is not None:
                     selected = selected & pick_ok
                 add_segment(target_id, target_id, pick_rtts[selected])
-        self._backend.on_joined_batch(
+        self.backend.on_joined_batch(
             JoinedBatch(
                 day=day,
                 client_key=key,
@@ -1558,7 +1738,6 @@ class _MatrixBeaconEngine:
         selector: BeaconTargetSelector,
         paths: "_PathCache",
         beacon_config: BeaconConfig,
-        backend: BeaconBackend,
         request_diffs: RequestDiffLog,
         ecs_aggregates: GroupedDailyAggregates,
         ldns_aggregates: GroupedDailyAggregates,
@@ -1566,11 +1745,17 @@ class _MatrixBeaconEngine:
         clients: Sequence[ClientPrefix],
         regions: Dict[str, str],
         resource_timing: Dict[str, bool],
+        telemetry: Telemetry,
     ) -> None:
-        self._scenario = scenario
+        # The engine writes its columns into the aggregate sinks
+        # directly; the backend only keeps the joined-row accounting.
+        self.backend = BeaconBackend()
+        self._chunks = telemetry.counter(
+            "engine.matrix.chunks_total",
+            "cross-client row chunks synthesized by the matrix engine",
+        )
         self._paths = paths
         self._beacon_config = beacon_config
-        self._backend = backend
         self._request_diffs = request_diffs
         self._ecs = ecs_aggregates
         self._ldns = ldns_aggregates
@@ -1644,27 +1829,33 @@ class _MatrixBeaconEngine:
 
     def stage_client_day(
         self,
-        client_key: str,
+        day: int,
+        day_keys: DayKeys,
+        client: ClientPrefix,
+        client_index: int,
         plan: DayRoutePlan,
         beacons: int,
         anycast_extra_ms: float,
         degraded_frontend: Optional[str],
         unicast_inflation_ms: float,
-        dirty_slots: Optional[Dict[int, FaultKind]] = None,
-        load_extras: Optional[Dict[str, float]] = None,
+        dirty_slots: Optional[Dict[int, FaultKind]],
+        load_extras: Optional[Dict[str, float]],
+        rng: random.Random,
     ) -> None:
         """Queue one active client-day for the next :meth:`run_day`.
 
         The scalar assembly here mirrors the oracle's
-        ``run_client_day`` expression-for-expression (same Python-float
-        additions, same adjustment order), which is what keeps the
-        fixed RTT components bit-identical.
+        (:meth:`_VectorizedBeaconEngine.stage_client_day`)
+        expression-for-expression (same Python-float additions, same
+        adjustment order), which is what keeps the fixed RTT components
+        bit-identical.  ``rng`` is neither drawn from nor kept.
         """
         if beacons > ROW_CAP:
             raise ConfigurationError(
                 f"client-day of {beacons} beacons exceeds the "
                 f"{ROW_CAP} row capacity of the counter streams"
             )
+        client_key = client.key
         group, member = self._member[client_key]
         staged_row = len(group.staged_members)
         group.staged_members.append(member)
@@ -1704,14 +1895,12 @@ class _MatrixBeaconEngine:
         if dirty_slots:
             group.staged_dirty[staged_row] = dirty_slots
 
-    def run_day(self, day: int, day_keys: DayKeys) -> int:
-        """Synthesize and sink every staged client-day; returns chunks."""
-        chunks = 0
+    def run_day(self, day: int, day_keys: DayKeys) -> None:
+        """Synthesize and sink every staged client-day."""
         for group in self._groups.values():
             if group.staged_members:
-                chunks += self._run_group_day(day, day_keys, group)
+                self._chunks.inc(self._run_group_day(day, day_keys, group))
                 group.clear_staging()
-        return chunks
 
     def _run_group_day(
         self, day: int, day_keys: DayKeys, group: _MatrixGroup
@@ -1919,7 +2108,7 @@ class _MatrixBeaconEngine:
         picks = group.picks
         pool_size = group.pool_size
         n_rows = rtts.shape[0]
-        self._backend.count_joined_bulk(n_rows * (2 + picks))
+        self.backend.count_joined_bulk(n_rows * (2 + picks))
         self._request_diffs.observe_columns(
             day,
             cidx[row_member],
@@ -2166,7 +2355,7 @@ class _MatrixBeaconEngine:
                 np.concatenate([p[2] for p in diff_pieces]),
                 np.concatenate([p[3] for p in diff_pieces]),
             )
-        self._backend.count_joined_bulk(joined)
+        self.backend.count_joined_bulk(joined)
 
 
 class CampaignRunner:
@@ -2207,14 +2396,9 @@ class CampaignRunner:
         client_slice: Optional[Tuple[int, int]] = None,
         telemetry: Optional[Telemetry] = None,
         fault_injector: Optional[WorkerFaultInjector] = None,
-        heartbeat: Optional[Callable[[int, int, int], None]] = None,
     ) -> None:
         self._scenario = scenario
         self._config = config or CampaignConfig()
-        #: Per-day hook ``f(day, num_days, beacons_so_far)`` — shard
-        #: workers install their heartbeat channel here so the
-        #: coordinator can aggregate live progress.
-        self._heartbeat = heartbeat
         if client_slice is not None:
             start, stop = client_slice
             if not 0 <= start <= stop <= len(scenario.clients):
@@ -2312,7 +2496,7 @@ class CampaignRunner:
             workload = scenario.workload_model
             latency = scenario.latency_model
 
-            # Every record this run ingests — beacon fetches in either
+            # Every record this run ingests — beacon fetches in every
             # engine, passive-log counts — passes this gate.
             gate = ValidationGate(
                 ValidationPolicy.parse(cfg.validation),
@@ -2384,49 +2568,6 @@ class CampaignRunner:
             )
             passive = PassiveLog(bounded=bounded)
 
-        vectorized: Optional[_VectorizedBeaconEngine] = None
-        matrix: Optional[_MatrixBeaconEngine] = None
-        if engine == "matrix":
-            # The matrix engine writes its columns into the aggregate
-            # sinks directly; the backend only keeps the joined-row
-            # accounting (no observers, scalar or batch).
-            backend = BeaconBackend()
-            chunks_counter = tel.counter(
-                "engine.matrix.chunks_total",
-                "cross-client row chunks synthesized by the matrix engine",
-            )
-        elif engine == "vectorized":
-            def on_joined_batch(batch: JoinedBatch) -> None:
-                for segment in batch.segments:
-                    ecs_aggregates.observe_many(
-                        batch.day, batch.client_key,
-                        segment.target_id, segment.rtts_ms,
-                    )
-                    ldns_aggregates.observe_many(
-                        batch.day, batch.ldns_id,
-                        segment.target_id, segment.rtts_ms,
-                    )
-
-            backend = BeaconBackend(batch_observers=(on_joined_batch,))
-            vectorized = _VectorizedBeaconEngine(
-                scenario, selector, paths, cfg.beacon, backend,
-                request_diffs, gate,
-            )
-            batches_counter = tel.counter(
-                "engine.vectorized.batches_total",
-                "(client, day) blocks synthesized as numpy batches",
-            )
-        else:
-            def on_joined(row: JoinedMeasurement) -> None:
-                ecs_aggregates.observe(
-                    row.day, row.client_key, row.target_id, row.rtt_ms
-                )
-                ldns_aggregates.observe(
-                    row.day, row.ldns_id, row.target_id, row.rtt_ms
-                )
-
-            backend = BeaconBackend([on_joined])
-
         scenario_seed = scenario.config.seed
 
         with tel.span("invariants"):
@@ -2449,22 +2590,27 @@ class CampaignRunner:
                 else:
                     regions[key] = str(region_of_point(client.location))
 
+        # The engine is chosen once, here: the day loop below stages
+        # every engine's client-days through the same calls.
         if engine == "matrix":
             with tel.span("matrix-member-table"):
-                matrix = _MatrixBeaconEngine(
-                    scenario,
-                    selector,
-                    paths,
-                    cfg.beacon,
-                    backend,
-                    request_diffs,
-                    ecs_aggregates,
-                    ldns_aggregates,
-                    gate,
-                    clients,
-                    regions,
-                    resource_timing,
+                beacon_engine = _MatrixBeaconEngine(
+                    scenario, selector, paths, cfg.beacon, request_diffs,
+                    ecs_aggregates, ldns_aggregates, gate, clients,
+                    regions, resource_timing, tel,
                 )
+        elif engine == "vectorized":
+            beacon_engine = _VectorizedBeaconEngine(
+                scenario, selector, paths, cfg.beacon, request_diffs,
+                ecs_aggregates, ldns_aggregates, gate, regions,
+                resource_timing, tel,
+            )
+        else:
+            beacon_engine = _ReferenceBeaconEngine(
+                scenario, runner, paths, request_diffs, ecs_aggregates,
+                ldns_aggregates, gate, regions, resource_timing,
+            )
+        backend = beacon_engine.backend
 
         _log.info(
             "campaign starting",
@@ -2479,178 +2625,79 @@ class CampaignRunner:
         beacon_count = 0
         run_started = time.perf_counter()
         for day in calendar.days():
-          if self._fault_injector is not None:
-            # Transient-exception site: the injected failure surfaces at
-            # the start of a seed-derived day, i.e. genuinely mid-run.
-            self._fault_injector.on_day(day, calendar.num_days)
-          day_beacons_before = beacon_count
-          with tel.span("day", index=day):
-            day_start_time = time.perf_counter()
-            day_keys = DayKeys(scenario_seed, day)
-            plans = day_plans[day]
-            inflations = day_inflations[day]
-            is_weekend = calendar.is_weekend(day)
-            day_start = calendar.seconds_at(day)
-            day_unicast_extras = (
-                load_schedule.unicast_extras(day)
-                if load_schedule is not None
-                else None
-            )
-            day_shed = 0
-            # Sub-phase times are accumulated with bare perf_counter
-            # reads (not nested spans) to keep per-client overhead off
-            # the hot path, then recorded once per day below.
-            workload_seconds = 0.0
-            passive_seconds = 0.0
-            beacon_seconds = 0.0
-
-            if matrix is not None:
-                # Matrix day: three cross-client passes replace the
-                # per-client section bookkeeping.  Scalar staging stays
-                # in Python (each client's workload draw is its own
-                # derived stream), but phase timers and telemetry
-                # counters are read/bumped once per day, not per client.
-                active = []
-                day_queries = 0
-                idle_days = 0
+            if self._fault_injector is not None:
+                # Transient-exception site: the injected failure surfaces
+                # at the start of a seed-derived day, i.e. genuinely
+                # mid-run.
+                self._fault_injector.on_day(day, calendar.num_days)
+            day_beacons = day_queries = day_shed = 0
+            client_days = idle_days = passive_appends = 0
+            with tel.span("day", index=day):
+                day_start_time = time.perf_counter()
+                day_keys = DayKeys(scenario_seed, day)
+                plans = day_plans[day]
+                inflations = day_inflations[day]
+                is_weekend = calendar.is_weekend(day)
+                load_extras = (
+                    load_schedule.unicast_extras(day)
+                    if load_schedule is not None
+                    else None
+                )
+                # Sub-phase times are accumulated with bare perf_counter
+                # reads (not nested spans) to keep per-client overhead
+                # off the hot path, then recorded once per day below.
+                workload_seconds = passive_seconds = beacon_seconds = 0.0
+                section_start = day_start_time
                 for client in clients:
                     key = client.key
+                    # Everything this client does today draws from its
+                    # own derived stream — independent of every other
+                    # client.  The reference engine continues this very
+                    # object, so it is passed through, never re-derived.
                     rng = derive_rng(scenario_seed, "campaign", day, key)
                     queries = workload.daily_queries(client, is_weekend, rng)
                     if load_schedule is not None:
                         queries = load_schedule.scaled_queries(
                             day, key, queries
                         )
+                    section_now = time.perf_counter()
+                    workload_seconds += section_now - section_start
+                    section_start = section_now
                     if queries <= 0:
                         idle_days += 1
                         continue
+                    client_days += 1
                     day_queries += queries
-                    # Drawn immediately after the query volume: the
-                    # campaign stream has no draws in between in any
-                    # engine, so beacon counts match per-client runs.
-                    active.append(
-                        (
-                            client,
-                            plans[key],
-                            queries,
-                            workload.daily_beacons(queries, rng),
-                        )
+
+                    # Passive production traffic: split across the day's
+                    # routes with largest-remainder apportionment, so the
+                    # recorded counts sum exactly to the query volume.
+                    plan = plans[key]
+                    routes, shed = _passive_routes(
+                        paths, key, plan, queries,
+                        load_schedule.landing(day, key)
+                        if load_schedule is not None
+                        else None,
                     )
-                idle_counter.inc(idle_days)
-                client_days_counter.inc(len(active))
-                queries_counter.inc(day_queries)
-                section_now = time.perf_counter()
-                workload_seconds = section_now - day_start_time
-                section_start = section_now
-
-                passive_appends = 0
-                if load_schedule is None:
-                    for client, plan, queries, _beacons in active:
-                        key = client.key
-                        for rank, count in zip(
-                            plan.ranks,
-                            largest_remainder_apportion(
-                                queries, plan.fractions
-                            ),
-                        ):
-                            frontend_id = paths.anycast(key, rank)[0]
-                            admitted_count = gate.admit_count(
-                                day, key, frontend_id, count
-                            )
-                            if admitted_count is not None:
-                                passive.record(
-                                    day, key, frontend_id, admitted_count
-                                )
-                        passive_appends += len(plan.ranks)
-                else:
-                    for client, plan, queries, _beacons in active:
-                        key = client.key
-                        routes, shed = _passive_routes(
-                            paths, key, plan, queries,
-                            load_schedule.landing(day, key),
+                    day_shed += shed
+                    passive_appends += len(routes)
+                    for frontend_id, count in routes:
+                        admitted_count = gate.admit_count(
+                            day, key, frontend_id, count
                         )
-                        day_shed += shed
-                        for frontend_id, count in routes:
-                            admitted_count = gate.admit_count(
-                                day, key, frontend_id, count
+                        if admitted_count is not None:
+                            passive.record(
+                                day, key, frontend_id, admitted_count
                             )
-                            if admitted_count is not None:
-                                passive.record(
-                                    day, key, frontend_id, admitted_count
-                                )
-                        passive_appends += len(routes)
-                passive_counter.inc(passive_appends)
-                section_now = time.perf_counter()
-                passive_seconds = section_now - section_start
-                section_start = section_now
-
-                day_beacons = 0
-                for client, plan, _queries, beacons in active:
+                    beacons = workload.daily_beacons(queries, rng)
+                    section_now = time.perf_counter()
+                    passive_seconds += section_now - section_start
+                    section_start = section_now
                     if beacons <= 0:
                         continue
-                    key = client.key
                     beacons_hist.observe(beacons)
                     day_beacons += beacons
-                    effect = inflations.get(key)
-                    anycast_inflation = 0.0
-                    degraded_frontend = None
-                    unicast_inflation = 0.0
-                    if effect is not None:
-                        if effect.scope is EpisodeScope.ANYCAST:
-                            anycast_inflation = effect.inflation_ms
-                        else:
-                            candidates = selector.candidates(client.ldns_id)
-                            degraded_frontend = candidates[
-                                int(effect.selector * len(candidates))
-                            ]
-                            unicast_inflation = effect.inflation_ms
-                    # Same shared per-(day, client) anycast stream as
-                    # the other engines (see the per-client loop below).
-                    anycast_offset = latency.sample_daily_variation_ms(
-                        derive_rng(
-                            scenario_seed, "daily-variation", day, key,
-                            ANYCAST_TARGET,
-                        ),
-                        anycast=True,
-                    )
-                    anycast_extra = anycast_inflation + anycast_offset
-                    if load_schedule is not None:
-                        anycast_extra += load_schedule.anycast_extra(
-                            day, key
-                        )
-                    dirty_slots = None
-                    if record_faults is not None:
-                        n_targets = 2 + min(
-                            cfg.beacon.random_picks,
-                            len(selector.pick_pool(client.ldns_id)),
-                        )
-                        dirty_slots = record_faults.slots_for(
-                            day,
-                            scenario.client_index(key),
-                            beacons * n_targets,
-                        )
-                    matrix.stage_client_day(
-                        key,
-                        plan,
-                        beacons,
-                        anycast_extra,
-                        degraded_frontend,
-                        unicast_inflation,
-                        dirty_slots,
-                        load_extras=day_unicast_extras,
-                    )
-                chunks_counter.inc(matrix.run_day(day, day_keys))
-                beacons_counter.inc(day_beacons)
-                beacon_count += day_beacons
-                beacon_seconds = time.perf_counter() - section_start
-            else:
-                for client in clients:
-                    section_start = time.perf_counter()
-                    key = client.key
-                    # Everything this client does today draws from its own
-                    # derived stream — independent of every other client.
-                    rng = derive_rng(scenario_seed, "campaign", day, key)
-                    plan = plans[key]
+
                     effect = inflations.get(key)
                     anycast_inflation = 0.0
                     degraded_frontend: Optional[str] = None
@@ -2664,94 +2711,30 @@ class CampaignRunner:
                                 int(effect.selector * len(candidates))
                             ]
                             unicast_inflation = effect.inflation_ms
-
-                    queries = workload.daily_queries(client, is_weekend, rng)
-                    if load_schedule is not None:
-                        queries = load_schedule.scaled_queries(
-                            day, key, queries
-                        )
-                    if queries <= 0:
-                        idle_counter.inc()
-                        workload_seconds += time.perf_counter() - section_start
-                        continue
-                    client_days_counter.inc()
-                    queries_counter.inc(queries)
-                    section_now = time.perf_counter()
-                    workload_seconds += section_now - section_start
-                    section_start = section_now
-
-                    # Passive production traffic: split across the day's
-                    # routes with largest-remainder apportionment, so the
-                    # recorded counts sum exactly to the day's query volume.
-                    if load_schedule is None:
-                        rank_frontends = tuple(
-                            paths.anycast(key, rank)[0] for rank in plan.ranks
-                        )
-                        for frontend_id, count in zip(
-                            rank_frontends,
-                            largest_remainder_apportion(
-                                queries, plan.fractions
+                    # The anycast path's daily congestion offset lives on
+                    # a shared per-(day, client) derived stream: every
+                    # engine realizes the same anycast elevation days.
+                    # (Unicast path offsets are engine-stream terms.)
+                    anycast_extra = (
+                        anycast_inflation
+                        + latency.sample_daily_variation_ms(
+                            derive_rng(
+                                scenario_seed, "daily-variation", day, key,
+                                ANYCAST_TARGET,
                             ),
-                        ):
-                            admitted_count = gate.admit_count(
-                                day, key, frontend_id, count
-                            )
-                            if admitted_count is not None:
-                                passive.record(
-                                    day, key, frontend_id, admitted_count
-                                )
-                        passive_counter.inc(len(rank_frontends))
-                    else:
-                        routes, shed = _passive_routes(
-                            paths, key, plan, queries,
-                            load_schedule.landing(day, key),
+                            anycast=True,
                         )
-                        day_shed += shed
-                        for frontend_id, count in routes:
-                            admitted_count = gate.admit_count(
-                                day, key, frontend_id, count
-                            )
-                            if admitted_count is not None:
-                                passive.record(
-                                    day, key, frontend_id, admitted_count
-                                )
-                        passive_counter.inc(len(routes))
-
-                    beacons = workload.daily_beacons(queries, rng)
-                    section_now = time.perf_counter()
-                    passive_seconds += section_now - section_start
-                    section_start = section_now
-                    if beacons <= 0:
-                        continue
-                    beacons_counter.inc(beacons)
-                    beacons_hist.observe(beacons)
-                    client_index = scenario.client_index(key)
-                    region = regions[key]
-                    rt_supported = resource_timing[key]
-
-                    # The anycast path's daily congestion offset lives on a
-                    # shared per-(day, client) derived stream: every engine
-                    # realizes the same anycast elevation days, keeping the
-                    # per-client anycast distributions comparable across
-                    # engines.  (Unicast path offsets are engine-stream
-                    # terms — counter-based in the batched engines.)
-                    anycast_offset = latency.sample_daily_variation_ms(
-                        derive_rng(
-                            scenario_seed, "daily-variation", day, key,
-                            ANYCAST_TARGET,
-                        ),
-                        anycast=True,
                     )
-                    anycast_extra = anycast_inflation + anycast_offset
                     if load_schedule is not None:
                         anycast_extra += load_schedule.anycast_extra(
                             day, key
                         )
 
                     # Record faults for this (day, client) cell, as flat
-                    # session * T + position slots.  The target count T is a
-                    # per-client constant shared by both engines, so the
-                    # slot map is engine- and shard-independent.
+                    # session * T + position slots.  The target count T
+                    # is a per-client constant shared by every engine, so
+                    # the slot map is engine- and shard-independent.
+                    client_index = scenario.client_index(key)
                     dirty_slots: Optional[Dict[int, FaultKind]] = None
                     if record_faults is not None:
                         n_targets = 2 + min(
@@ -2761,165 +2744,77 @@ class CampaignRunner:
                         dirty_slots = record_faults.slots_for(
                             day, client_index, beacons * n_targets
                         )
-
-                    if vectorized is not None:
-                        vectorized.run_client_day(
-                            day=day,
-                            day_keys=day_keys,
-                            client=client,
-                            client_index=client_index,
-                            region=region,
-                            resource_timing_supported=rt_supported,
-                            plan=plan,
-                            beacons=beacons,
-                            anycast_extra_ms=anycast_extra,
-                            degraded_frontend=degraded_frontend,
-                            unicast_inflation_ms=unicast_inflation,
-                            dirty_slots=dirty_slots,
-                            load_extras=day_unicast_extras,
-                        )
-                        beacon_count += beacons
-                        batches_counter.inc()
-                        beacon_seconds += time.perf_counter() - section_start
-                        continue
-
-                    unicast_offsets: Dict[str, float] = {}
-                    session_rank_cell = [plan.ranks[0]]
-
-                    def serve(target_id: str) -> Tuple[str, float]:
-                        if target_id == ANYCAST_TARGET:
-                            frontend_id, baseline = paths.anycast(
-                                key, session_rank_cell[0]
-                            )
-                            extra = anycast_extra
-                        else:
-                            frontend_id = target_id
-                            baseline = paths.unicast(key, target_id)
-                            offset = unicast_offsets.get(target_id)
-                            if offset is None:
-                                offset = latency.sample_daily_variation_ms(
-                                    derive_rng(
-                                        scenario_seed, "daily-variation", day,
-                                        key, target_id,
-                                    ),
-                                    anycast=False,
-                                )
-                                unicast_offsets[target_id] = offset
-                            extra = offset
-                            if day_unicast_extras:
-                                extra += day_unicast_extras.get(
-                                    target_id, 0.0
-                                )
-                            if target_id == degraded_frontend:
-                                extra += unicast_inflation
-                        rtt = (
-                            baseline
-                            + latency.sample_jitter_ms(rng)
-                            + extra
-                        )
-                        return frontend_id, rtt
-
-                    record_index = 0
-                    for _ in range(beacons):
-                        session_rank_cell[0] = plan.sample_rank(rng)
-
-                        fetches = runner.run_beacon(
-                            ldns_id=client.ldns_id,
-                            resource_timing_supported=rt_supported,
-                            serve=serve,
-                            rng=rng,
-                            now=day_start,
-                        )
-                        beacon_count += 1
-
-                        anycast_rtt: Optional[float] = None
-                        best_unicast: Optional[float] = None
-                        for fetch in fetches:
-                            rtt_ms = fetch.rtt_ms
-                            if dirty_slots:
-                                kind = dirty_slots.get(record_index)
-                                if kind is not None:
-                                    rtt_ms = RecordFaultInjector.dirty_value(
-                                        kind, rtt_ms
-                                    )
-                            admitted = gate.admit(day, key, record_index, rtt_ms)
-                            record_index += 1
-                            if admitted is None:
-                                # Quarantined: the record never reaches any
-                                # log stream, so it cannot join.
-                                continue
-                            backend.on_dns(
-                                fetch.measurement_id, client.ldns_id, fetch.target_id
-                            )
-                            backend.on_server(
-                                fetch.measurement_id, fetch.serving_frontend_id
-                            )
-                            backend.on_http(
-                                HttpLogEntry(
-                                    day=day,
-                                    measurement_id=fetch.measurement_id,
-                                    client_key=key,
-                                    rtt_ms=admitted,
-                                    used_resource_timing=fetch.used_resource_timing,
-                                )
-                            )
-                            if fetch.target_id == ANYCAST_TARGET:
-                                anycast_rtt = admitted
-                            elif best_unicast is None or admitted < best_unicast:
-                                best_unicast = admitted
-
-                        if anycast_rtt is not None and best_unicast is not None:
-                            request_diffs.observe(
-                                day, client_index, region, anycast_rtt, best_unicast
-                            )
-
-                    beacon_seconds += time.perf_counter() - section_start
-
-            runner.purge_caches(calendar.seconds_at(day) + 86_400.0)
-            day_elapsed = time.perf_counter() - day_start_time
-            day_hist.observe(day_elapsed)
-            tel.spans.record_seconds("campaign/day/workload", workload_seconds)
-            tel.spans.record_seconds("campaign/day/passive", passive_seconds)
-            tel.spans.record_seconds("campaign/day/beacons", beacon_seconds)
-            _log.debug(
-                "day complete",
-                extra={"day": day, "seconds": round(day_elapsed, 4)},
-            )
-          # Per-day work totals as a data-scope trace event: numeric
-          # args sum shard-invariantly (each shard contributes its
-          # slice's beacons), so serial and sharded trace digests agree.
-          tel.trace.data(
-              "engine.day",
-              "engine",
-              index=day,
-              engine=engine,
-              beacons=beacon_count - day_beacons_before,
-          )
-          if load_schedule is not None:
-            # Shed counts are integers apportioned per client, so each
-            # shard's partial sum plus the trace digest's numeric
-            # aggregation reproduce the serial totals exactly.
-            shed_counter.inc(day_shed)
-            tel.trace.data(
-                "load.day", "load", index=day, shed_queries=day_shed
-            )
-          if self._heartbeat is not None:
-            self._heartbeat(day, calendar.num_days, beacon_count)
-          if cfg.progress_callback is not None:
-            cfg.progress_callback(day, calendar.num_days)
-          if cfg.progress_listener is not None:
-            elapsed = time.perf_counter() - run_started
-            cfg.progress_listener(
-                CampaignProgress(
-                    days_completed=day + 1,
-                    num_days=calendar.num_days,
-                    beacons=beacon_count,
-                    beacons_per_second=(
-                        beacon_count / elapsed if elapsed > 0 else 0.0
-                    ),
-                    elapsed_seconds=elapsed,
+                    beacon_engine.stage_client_day(
+                        day=day,
+                        day_keys=day_keys,
+                        client=client,
+                        client_index=client_index,
+                        plan=plan,
+                        beacons=beacons,
+                        anycast_extra_ms=anycast_extra,
+                        degraded_frontend=degraded_frontend,
+                        unicast_inflation_ms=unicast_inflation,
+                        dirty_slots=dirty_slots,
+                        load_extras=load_extras,
+                        rng=rng,
+                    )
+                    section_now = time.perf_counter()
+                    beacon_seconds += section_now - section_start
+                    section_start = section_now
+                beacon_engine.run_day(day, day_keys)
+                beacon_seconds += time.perf_counter() - section_start
+                idle_counter.inc(idle_days)
+                client_days_counter.inc(client_days)
+                queries_counter.inc(day_queries)
+                passive_counter.inc(passive_appends)
+                beacons_counter.inc(day_beacons)
+                beacon_count += day_beacons
+                day_elapsed = time.perf_counter() - day_start_time
+                day_hist.observe(day_elapsed)
+                tel.spans.record_seconds(
+                    "campaign/day/workload", workload_seconds
                 )
+                tel.spans.record_seconds(
+                    "campaign/day/passive", passive_seconds
+                )
+                tel.spans.record_seconds(
+                    "campaign/day/beacons", beacon_seconds
+                )
+                _log.debug(
+                    "day complete",
+                    extra={"day": day, "seconds": round(day_elapsed, 4)},
+                )
+            # Per-day work totals as a data-scope trace event: numeric
+            # args sum shard-invariantly (each shard contributes its
+            # slice's beacons), so serial and sharded trace digests agree.
+            tel.trace.data(
+                "engine.day",
+                "engine",
+                index=day,
+                engine=engine,
+                beacons=day_beacons,
             )
+            if load_schedule is not None:
+                # Shed counts are integers apportioned per client, so each
+                # shard's partial sum plus the trace digest's numeric
+                # aggregation reproduce the serial totals exactly.
+                shed_counter.inc(day_shed)
+                tel.trace.data(
+                    "load.day", "load", index=day, shed_queries=day_shed
+                )
+            if cfg.progress_listener is not None:
+                elapsed = time.perf_counter() - run_started
+                cfg.progress_listener(
+                    CampaignProgress(
+                        days_completed=day + 1,
+                        num_days=calendar.num_days,
+                        beacons=beacon_count,
+                        beacons_per_second=(
+                            beacon_count / elapsed if elapsed > 0 else 0.0
+                        ),
+                        elapsed_seconds=elapsed,
+                    )
+                )
 
         with tel.span("finalize"):
             if backend.pending_count:

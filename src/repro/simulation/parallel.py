@@ -12,13 +12,13 @@ Correctness rests on two properties established elsewhere:
 * every random draw in :class:`repro.simulation.campaign.CampaignRunner`
   comes from an RNG derived per ``(client, day)`` (or finer), so a
   client's measurements do not depend on which shard runs it — this
-  holds for both measurement engines (the vectorized engine derives its
-  ``numpy.random.Generator`` per (client, day) the same way), so the
+  holds for every measurement engine (the batched engines' counter
+  streams are keyed by (seed, day, client index) the same way), so the
   ``engine`` setting composes freely with ``workers``;
 * all dataset sinks are mergeable, and
   :meth:`repro.simulation.dataset.StudyDataset.digest` is canonical, so
   ``serial ≡ parallel ≡ reordered`` is testable bit-for-bit within
-  either engine.
+  any engine.
 
 **Resilience.**  The coordinator treats every shard attempt as
 disposable: a crash, hang (when ``shard_timeout`` is set), transient
@@ -51,7 +51,7 @@ import hashlib
 import multiprocessing
 import queue as queue_module
 import time
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.errors import (
     CheckpointError,
@@ -143,8 +143,9 @@ class _ShardTask:
 
     ``heartbeats`` is an optional queue (a ``multiprocessing.Manager``
     proxy for worker processes, a plain queue in-process) the worker
-    posts per-day progress dicts into; absent when no progress hook is
-    configured, so quiet runs pay no Manager cost.
+    posts its ``(shard_index, CampaignProgress)`` rows into; absent when
+    no progress listener is configured, so quiet runs pay no Manager
+    cost.
     """
 
     scenario_config: ScenarioConfig
@@ -215,38 +216,30 @@ def _run_shard(task: _ShardTask) -> _ShardEnvelope:
     # stamped with the attempt so retries are distinguishable.
     telemetry.trace.lane = task.shard_index
     telemetry.trace.attempt = task.attempt
-    heartbeat = None
+    config = task.campaign_config
     if task.heartbeats is not None:
         channel = task.heartbeats
 
-        def heartbeat(day: int, num_days: int, beacons: int) -> None:
+        def post(progress: CampaignProgress) -> None:
             try:
-                channel.put(
-                    {
-                        "shard": task.shard_index,
-                        "attempt": task.attempt,
-                        "day": day,
-                        "days": num_days,
-                        "beacons": beacons,
-                    }
-                )
+                channel.put((task.shard_index, progress))
             except Exception:
                 # Progress is best-effort; a torn Manager connection
                 # (e.g. coordinator tearing down) must not fail the
                 # shard's real work.
                 pass
 
+        config = dataclasses.replace(config, progress_listener=post)
     # The rebuild is real per-worker work; timing it keeps the merged
     # phase tree honest about where the sharded run's seconds go.
     with telemetry.span("scenario_build"):
         scenario = Scenario.build(task.scenario_config)
     runner = CampaignRunner(
         scenario,
-        task.campaign_config,
+        config,
         client_slice=(task.start, task.stop),
         telemetry=telemetry,
         fault_injector=injector,
-        heartbeat=heartbeat,
     )
     dataset = runner.run()
     assert runner.stats is not None
@@ -314,36 +307,36 @@ class _InlinePool:
         return None
 
 
-#: Minimum seconds between ``progress_listener`` emissions while the
-#: coordinator is aggregating heartbeats (the final emission is never
-#: throttled).
+#: Minimum seconds between beacon-only ``progress_listener`` updates
+#: while the coordinator aggregates shard progress (a newly completed
+#: day and the final emission are never throttled).
 _PROGRESS_EMIT_SECONDS = 0.2
 
 
 class _ProgressAggregator:
-    """Folds worker heartbeats into the campaign-level progress hooks.
+    """Folds shard workers' progress into the campaign's listener.
 
-    ``progress_callback`` keeps its serial contract under sharding: it
-    fires exactly once per day, in day order, when that day is complete
-    across *every* shard (the minimum of per-shard completed days).
+    The listener keeps its serial contract under sharding: a day is
+    reported once it is complete across *every* shard (the minimum of
+    per-shard completed days), days 1..N in order, never throttled.
     Retried attempts replay earlier days; the per-shard maximum keeps
-    reported progress monotone, so replays never re-fire the callback.
-
-    ``progress_listener`` receives throttled :class:`CampaignProgress`
-    observations with live beacon totals, shard completion, and retry
-    counts.
+    reported progress monotone, so replays never move it backwards.  In
+    between, rows repeating the current day refresh beacon totals,
+    shard completion, and retry counts at most every
+    ``_PROGRESS_EMIT_SECONDS``.
     """
 
     def __init__(
         self,
-        cfg: CampaignConfig,
+        listener: Optional[Callable[[CampaignProgress], None]],
         shards: int,
+        num_days: int,
         run_start: float,
     ) -> None:
-        self._cfg = cfg
+        self._listener = listener
         self._shards = shards
+        self._num_days = num_days
         self._run_start = run_start
-        self._num_days = 0
         self._days_done: Dict[int, int] = {}
         self._beacons: Dict[int, int] = {}
         self._complete: Set[int] = set()
@@ -351,34 +344,20 @@ class _ProgressAggregator:
         self._reported = 0
         self._last_emit = float("-inf")
 
-    @property
-    def wanted(self) -> bool:
-        """Whether any progress hook is configured at all."""
-        return (
-            self._cfg.progress_callback is not None
-            or self._cfg.progress_listener is not None
+    def observe(self, shard: int, progress: CampaignProgress) -> None:
+        """Fold in one row a shard worker's own listener posted."""
+        self._days_done[shard] = max(
+            self._days_done.get(shard, 0), progress.days_completed
         )
-
-    def heartbeat(self, message: object) -> None:
-        """Fold one worker heartbeat dict in (malformed ones dropped)."""
-        if not isinstance(message, dict):
-            return
-        try:
-            shard = int(message["shard"])
-            day = int(message["day"])
-            self._num_days = max(self._num_days, int(message["days"]))
-            beacons = int(message["beacons"])
-        except (KeyError, TypeError, ValueError):
-            return
-        self._days_done[shard] = max(self._days_done.get(shard, 0), day + 1)
-        self._beacons[shard] = max(self._beacons.get(shard, 0), beacons)
+        self._beacons[shard] = max(
+            self._beacons.get(shard, 0), progress.beacons
+        )
         self._advance()
 
     def mark_complete(self, shard: int) -> None:
         """A shard's data has merged (run, resumed, or checkpointed)."""
         self._complete.add(shard)
-        if self._num_days:
-            self._days_done[shard] = self._num_days
+        self._days_done[shard] = self._num_days
         self._advance()
 
     def note_retry(self) -> None:
@@ -388,44 +367,35 @@ class _ProgressAggregator:
         """Report any remaining days and emit the final observation.
 
         Called on normal coordinator exit only: the run is over, so the
-        day sequence completes even if trailing heartbeats were lost.
+        day sequence completes even if trailing rows were lost.
         """
-        if self._num_days:
-            for shard in range(self._shards):
-                self._days_done[shard] = self._num_days
+        for shard in range(self._shards):
+            self._days_done[shard] = self._num_days
         self._advance(force=True)
 
-    def _floor_days(self) -> int:
-        floor: Optional[int] = None
-        for shard in range(self._shards):
-            if shard in self._complete:
-                done = self._num_days
-            else:
-                done = self._days_done.get(shard)
-                if done is None:
-                    return 0
-            floor = done if floor is None else min(floor, done)
-        return floor or 0
-
     def _advance(self, force: bool = False) -> None:
-        floor = self._floor_days()
-        callback = self._cfg.progress_callback
-        if callback is not None:
-            while self._reported < floor:
-                callback(self._reported, self._num_days)
-                self._reported += 1
-        listener = self._cfg.progress_listener
-        if listener is None:
+        if self._listener is None:
             return
+        floor = min(
+            self._days_done.get(shard, 0) for shard in range(self._shards)
+        )
         now = time.perf_counter()
-        if not force and now - self._last_emit < _PROGRESS_EMIT_SECONDS:
-            return
+        if floor > self._reported:
+            for days in range(self._reported + 1, floor + 1):
+                self._emit(days, now)
+            self._reported = floor
+        elif floor and (
+            force or now - self._last_emit >= _PROGRESS_EMIT_SECONDS
+        ):
+            self._emit(floor, now)
+
+    def _emit(self, days_completed: int, now: float) -> None:
         self._last_emit = now
         elapsed = now - self._run_start
         beacons = sum(self._beacons.values())
-        listener(
+        self._listener(
             CampaignProgress(
-                days_completed=floor,
+                days_completed=days_completed,
                 num_days=self._num_days,
                 beacons=beacons,
                 beacons_per_second=(
@@ -456,12 +426,11 @@ class ParallelCampaignRunner:
 
     Args:
         scenario: The built study environment.
-        config: Campaign knobs.  ``progress_callback`` and
-            ``progress_listener`` are honored for sharded runs: workers
-            post per-day heartbeats through a queue, and the coordinator
-            aggregates them — the callback fires once per day completed
-            across *all* shards, in day order, exactly like a serial
-            run.  The resilience knobs — ``fault_plan``, ``max_retries``,
+        config: Campaign knobs.  ``progress_listener`` is honored for
+            sharded runs: each worker's own listener posts its rows
+            through a queue, and the coordinator aggregates them — each
+            day is reported once it is complete across *all* shards, in
+            day order, exactly like a serial run.  The resilience knobs — ``fault_plan``, ``max_retries``,
             ``shard_timeout``, ``allow_partial``, ``checkpoint_dir``,
             ``resume`` — are honored here; see :class:`CampaignConfig`.
         workers: Worker-process count; ``None`` resolves
@@ -581,7 +550,6 @@ class ParallelCampaignRunner:
         # derived (day, client) grid.
         worker_config = dataclasses.replace(
             cfg,
-            progress_callback=None,
             progress_listener=None,
             workers=None,
             fault_plan=(
@@ -639,7 +607,12 @@ class ParallelCampaignRunner:
         missing: List[int] = []
         last_error: Dict[int, str] = {}
         pending: Set[int] = set(range(len(bounds)))
-        progress = _ProgressAggregator(cfg, len(bounds), run_start)
+        progress = _ProgressAggregator(
+            cfg.progress_listener,
+            len(bounds),
+            scenario.calendar.num_days,
+            run_start,
+        )
         # Start timestamps of in-flight attempts, for the per-attempt
         # trace slices rendered on each shard's lane.
         dispatch_ts: Dict[Tuple[int, int], int] = {}
@@ -697,12 +670,12 @@ class ParallelCampaignRunner:
         )
 
         context = multiprocessing.get_context(_START_METHOD)
-        # The heartbeat channel exists only when a progress hook asked
+        # The heartbeat channel exists only when a progress listener asked
         # for it: worker processes need a picklable Manager queue proxy,
         # which costs an extra process — quiet runs skip it entirely.
         manager = None
         heartbeat_channel = None
-        if progress.wanted:
+        if cfg.progress_listener is not None:
             if self._workers == 1:
                 heartbeat_channel = queue_module.SimpleQueue()
             else:
@@ -714,10 +687,10 @@ class ParallelCampaignRunner:
                 return
             while True:
                 try:
-                    message = heartbeat_channel.get_nowait()
+                    shard, row = heartbeat_channel.get_nowait()
                 except (queue_module.Empty, OSError, EOFError):
                     return
-                progress.heartbeat(message)
+                progress.observe(shard, row)
 
         pool = (
             _InlinePool()

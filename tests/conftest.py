@@ -51,6 +51,19 @@ def small_dataset(small_scenario):
 
 
 @pytest.fixture(scope="session")
+def engine_scenario() -> Scenario:
+    """The 120-client, 3-day scenario the engine-equivalence tests and
+    the per-engine golden digests share."""
+    return Scenario.build(
+        ScenarioConfig(
+            seed=23,
+            population=ClientPopulationConfig(prefix_count=120),
+            calendar=SimulationCalendar(num_days=3),
+        )
+    )
+
+
+@pytest.fixture(scope="session")
 def cdn_world(metro_db):
     """A frozen (topology, deployment, network) triple without clients."""
     builder = TopologyBuilder(metro_db)

@@ -95,3 +95,21 @@ def test_troubleshoot_command(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "vantages with anycast carried" in out
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--prefixes", "0"], "prefix_count must be >= 1"),
+        (["--fault-plan", "bogus:1"], "unknown fault kind 'bogus'"),
+    ],
+)
+def test_run_bad_input_exits_with_one_line(tmp_path, capsys, flags, message):
+    out_file = tmp_path / "out.json"
+    assert main(["run", *flags, str(out_file)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+    assert not out_file.exists()

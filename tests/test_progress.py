@@ -1,16 +1,16 @@
-"""Live campaign progress: callbacks, listeners, and shard aggregation.
+"""Live campaign progress: one listener, serial and sharded.
 
-``CampaignConfig.progress_callback`` was accepted-but-ignored by the
-parallel runner for five PRs; these tests pin the repaired contract:
+``CampaignConfig.progress_listener`` is the campaign's only progress
+hook; these tests pin its contract:
 
-* serial runs invoke the callback once per completed day, in order;
+* serial runs invoke it once per completed day, in order;
 * sharded runs (single-worker inline pool and true multiprocess)
-  aggregate worker heartbeats and fire the *same* callback sequence —
-  one call per day, in day order, only when the day is complete across
-  every shard;
-* retries never double-report a day (progress is monotone);
-* ``progress_listener`` observes rich :class:`CampaignProgress` rows
-  whose final state covers all days and shards.
+  aggregate the workers' own rows and report every day the same way —
+  the distinct ``days_completed`` values are 1..N, in day order, each
+  reported only once the day is complete across every shard;
+* retries never double-report a day (progress never decreases);
+* the rows carry rich :class:`CampaignProgress` state whose final row
+  covers all days and shards.
 """
 
 import functools
@@ -42,17 +42,27 @@ def _scenario() -> Scenario:
 
 
 def _expected():
-    return [(day, DAYS) for day in range(DAYS)]
+    return [(day, DAYS) for day in range(1, DAYS + 1)]
 
 
-def test_serial_progress_callback_fires_per_day():
-    calls = []
+def _reports(rows):
+    return [(row.days_completed, row.num_days) for row in rows]
+
+
+def _days_reported(rows):
+    """The distinct ``(days_completed, num_days)`` reports, in order."""
+    reports = _reports(rows)
+    assert reports == sorted(reports), f"progress went backwards: {reports}"
+    return list(dict.fromkeys(reports))
+
+
+def test_serial_progress_listener_fires_per_day():
+    rows = []
     runner = CampaignRunner(
-        _scenario(),
-        CampaignConfig(progress_callback=lambda d, n: calls.append((d, n))),
+        _scenario(), CampaignConfig(progress_listener=rows.append)
     )
     runner.run()
-    assert calls == _expected()
+    assert _reports(rows) == _expected()
 
 
 def test_serial_progress_listener_observes_rich_rows():
@@ -72,29 +82,25 @@ def test_serial_progress_listener_observes_rich_rows():
 
 
 def test_single_worker_sharded_progress():
-    calls = []
-    runner = ParallelCampaignRunner(
-        _scenario(),
-        CampaignConfig(progress_callback=lambda d, n: calls.append((d, n))),
-        workers=1,
-    )
-    runner.run()
-    assert calls == _expected()
-
-
-def test_multiprocess_sharded_progress():
-    calls = []
     rows = []
     runner = ParallelCampaignRunner(
         _scenario(),
-        CampaignConfig(
-            progress_callback=lambda d, n: calls.append((d, n)),
-            progress_listener=rows.append,
-        ),
+        CampaignConfig(progress_listener=rows.append),
+        workers=1,
+    )
+    runner.run()
+    assert _reports(rows) == _expected()
+
+
+def test_multiprocess_sharded_progress():
+    rows = []
+    runner = ParallelCampaignRunner(
+        _scenario(),
+        CampaignConfig(progress_listener=rows.append),
         workers=2,
     )
     dataset = runner.run()
-    assert calls == _expected()
+    assert _days_reported(rows) == _expected()
     assert rows
     final = rows[-1]
     assert final.days_completed == DAYS
@@ -104,11 +110,11 @@ def test_multiprocess_sharded_progress():
 
 
 def test_retry_never_double_reports_a_day():
-    calls = []
+    rows = []
     runner = ParallelCampaignRunner(
         _scenario(),
         CampaignConfig(
-            progress_callback=lambda d, n: calls.append((d, n)),
+            progress_listener=rows.append,
             fault_plan=FaultPlan.from_spec("exception:1"),
             max_retries=3,
             retry_backoff_seconds=0.0,
@@ -117,8 +123,28 @@ def test_retry_never_double_reports_a_day():
     )
     runner.run()
     # The crashed shard re-runs its days, but aggregation reports each
-    # day exactly once, in order.
-    assert calls == _expected()
+    # day once, in order, and never moves backwards.
+    assert _days_reported(rows) == _expected()
+
+
+def test_inline_pool_retry_progress():
+    # One worker with a fault plan runs through the resilient
+    # coordinator's in-process pool: the failed attempt's rows and its
+    # retry's replay still report each day once, in order.
+    rows = []
+    runner = ParallelCampaignRunner(
+        _scenario(),
+        CampaignConfig(
+            progress_listener=rows.append,
+            fault_plan=FaultPlan.from_spec("exception:1"),
+            max_retries=3,
+            retry_backoff_seconds=0.0,
+        ),
+        workers=1,
+    )
+    runner.run()
+    assert _days_reported(rows) == _expected()
+    assert rows[-1].retries >= 1
 
 
 def test_retries_surface_in_listener():

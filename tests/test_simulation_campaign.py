@@ -136,7 +136,7 @@ class TestCampaign:
         assert small_dataset.client_by_index(0) is client
         assert small_dataset.volume_weight(client.key) == client.daily_queries
 
-    def test_progress_callback_invoked(self):
+    def test_progress_listener_invoked(self):
         from repro.simulation.campaign import CampaignConfig
 
         config = ScenarioConfig(
@@ -147,10 +147,14 @@ class TestCampaign:
         seen = []
         runner = CampaignRunner(
             Scenario.build(config),
-            CampaignConfig(progress_callback=lambda d, n: seen.append((d, n))),
+            CampaignConfig(
+                progress_listener=lambda row: seen.append(
+                    (row.days_completed, row.num_days)
+                )
+            ),
         )
         runner.run()
-        assert seen == [(0, 2), (1, 2)]
+        assert seen == [(1, 2), (2, 2)]
 
 
 class TestLargestRemainderApportion:

@@ -37,17 +37,6 @@ from repro.simulation.scenario import Scenario, ScenarioConfig
 
 
 @pytest.fixture(scope="module")
-def engine_scenario() -> Scenario:
-    return Scenario.build(
-        ScenarioConfig(
-            seed=23,
-            population=ClientPopulationConfig(prefix_count=120),
-            calendar=SimulationCalendar(num_days=3),
-        )
-    )
-
-
-@pytest.fixture(scope="module")
 def reference_dataset(engine_scenario):
     return CampaignRunner(
         engine_scenario, CampaignConfig(engine="reference")
