@@ -322,7 +322,11 @@ def _analysis_load_report(dataset):
     import tempfile
     import time
 
-    from repro.measurement.export import load_dataset, save_dataset
+    from repro.measurement.export import (
+        load_dataset,
+        recover_dataset,
+        save_dataset,
+    )
 
     with tempfile.TemporaryDirectory(prefix="bench-load-") as tmpdir:
         path = os.path.join(tmpdir, "dataset.json")
@@ -333,7 +337,7 @@ def _analysis_load_report(dataset):
         for _ in range(5):
             gc.collect()
             start = time.perf_counter()
-            framed = load_dataset(path, columnar=False)
+            framed = recover_dataset(path)[0]  # frames only, no sidecar
             framed_seconds.append(time.perf_counter() - start)
             gc.collect()
             start = time.perf_counter()

@@ -12,7 +12,6 @@ from repro.dns.authoritative import (
     StaticMappingPolicy,
 )
 from repro.dns.cache import TtlCache
-from repro.dns.scoped_cache import EcsResolver, ScopedDnsCache
 from repro.dns.ecs import EcsOption, ecs_key_for_prefix
 from repro.dns.ldns import (
     LdnsConfig,
@@ -30,9 +29,7 @@ __all__ = [
     "AuthoritativeServer",
     "DnsResponse",
     "EcsOption",
-    "EcsResolver",
     "LdnsConfig",
-    "ScopedDnsCache",
     "LdnsDirectory",
     "LdnsKind",
     "LdnsServer",

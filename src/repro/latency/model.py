@@ -17,12 +17,10 @@ front-end.  We synthesize that latency from the simulated path:
   :func:`repro.latency.sampling.percentile_stability_profile` verifies the
   model reproduces exactly that.
 
-Each stochastic term has a scalar sampler (``random.Random``, the
-reference engine's oracle path) and, where the campaign hot loop needs
-it, a batched sampler drawing whole numpy arrays from a
-``numpy.random.Generator`` (the vectorized engine).  The batched forms
-sample the *same distributions*; they do not reproduce the scalar
-streams draw-for-draw.
+Each stochastic term has a scalar sampler drawing from a
+``random.Random`` (the reference engine's oracle path); the batched
+engines draw the same distributions from counter streams
+(:mod:`repro.simulation.counterrng`).
 """
 
 from __future__ import annotations
@@ -30,9 +28,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Tuple, Union
-
-import numpy as np
 
 from repro.errors import ConfigurationError
 
@@ -223,68 +218,6 @@ class LatencyModel:
                 math.log(cfg.spike_median_ms), cfg.spike_sigma
             )
         return jitter
-
-    def sample_jitter_batch_ms(
-        self,
-        gen: np.random.Generator,
-        shape: Union[int, Tuple[int, ...]],
-    ) -> np.ndarray:
-        """A batch of jitter draws — the vectorized form of
-        :meth:`sample_jitter_ms`.
-
-        Same distribution (lognormal body plus a Bernoulli-gated heavy
-        spike), drawn as whole-array operations from a
-        :class:`numpy.random.Generator`.  Spike magnitudes are drawn for
-        every cell and zeroed where the spike mask is off, which is
-        distributionally identical to the scalar path's draw-on-demand
-        (the magnitude draw is independent of the gate) at a fraction of
-        the per-sample cost.
-        """
-        cfg = self._config
-        if cfg.jitter_median_ms > 0.0:
-            jitter = gen.lognormal(
-                math.log(cfg.jitter_median_ms), cfg.jitter_sigma, shape
-            )
-        else:
-            jitter = np.zeros(shape)
-        if cfg.spike_probability > 0.0:
-            spiked = gen.random(shape) < cfg.spike_probability
-            spikes = gen.lognormal(
-                math.log(cfg.spike_median_ms), cfg.spike_sigma, shape
-            )
-            jitter = jitter + np.where(spiked, spikes, 0.0)
-        return jitter
-
-    def sample_daily_variation_batch_ms(
-        self, gen: np.random.Generator, count: int, anycast: bool = False
-    ) -> np.ndarray:
-        """``count`` daily-variation draws — the vectorized form of
-        :meth:`sample_daily_variation_ms`.
-
-        One draw per (client, path) pair for the day: zero unless the
-        Bernoulli elevation gate fires, else a lognormal elevation.  The
-        vectorized engine draws one batch per (client, day) covering
-        every path the day's beacons touch.
-        """
-        cfg = self._config
-        probability = (
-            cfg.anycast_daily_variation_probability
-            if anycast
-            else cfg.daily_variation_probability
-        )
-        if (
-            count == 0
-            or probability <= 0.0
-            or cfg.daily_variation_median_ms == 0.0
-        ):
-            return np.zeros(count)
-        elevated = gen.random(count) < probability
-        magnitudes = gen.lognormal(
-            math.log(cfg.daily_variation_median_ms),
-            cfg.daily_variation_sigma,
-            count,
-        )
-        return np.where(elevated, magnitudes, 0.0)
 
     def sample_daily_variation_ms(
         self, rng: random.Random, anycast: bool = False

@@ -159,33 +159,6 @@ class BeaconTargetSelector:
             self._log_weights[ldns_id] = cached
         return cached
 
-    def sample_pick_indices(
-        self, ldns_id: str, gen: np.random.Generator, count: int
-    ) -> np.ndarray:
-        """Random-pick index sets for ``count`` beacons at once.
-
-        Returns a ``(count, picks)`` integer matrix of indices into
-        :meth:`pick_pool`.  Uses the Gumbel top-k trick: the ``k``
-        largest values of ``log(weight) + Gumbel(0, 1)`` per row are
-        distributed exactly as ``k`` sequential rank-weighted draws
-        without replacement — the same Plackett–Luce process the scalar
-        :meth:`select_targets` performs with ``rng.choices`` + ``pop``.
-        Indices within a row are not ordered by draw sequence, which is
-        immaterial: a beacon's picks form a set, and every fetch's
-        randomness is drawn per fetch elsewhere.
-        """
-        candidates = self.candidates(ldns_id)  # also caches the weights
-        pool_size = len(candidates) - 1
-        picks = min(self._config.random_picks, pool_size)
-        if picks == 0 or count == 0:
-            return np.empty((count, 0), dtype=np.intp)
-        keys = self.log_pick_weights(ldns_id)[np.newaxis, :] + gen.gumbel(
-            size=(count, pool_size)
-        )
-        if picks == pool_size:
-            return np.tile(np.arange(pool_size, dtype=np.intp), (count, 1))
-        return np.argpartition(-keys, picks - 1, axis=1)[:, :picks]
-
 
 @dataclass(frozen=True)
 class BeaconFetch:

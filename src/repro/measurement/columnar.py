@@ -1,6 +1,6 @@
 """Memory-mapped columnar sidecars for framed dataset exports.
 
-The framed v2/v3 export (:mod:`repro.measurement.export`) optimizes for
+The framed export (:mod:`repro.measurement.export`) optimizes for
 durability: every frame is independently CRC-verified JSON, so damage is
 localized and salvageable.  That durability has a read cost — loading a
 paper-scale export re-parses every base64-packed sample array through the
@@ -17,7 +17,8 @@ file stays the source of truth:
 * the sidecar records a **fingerprint** (byte length + SHA-256) of the
   framed export it was derived from; a reader whose fingerprint check
   fails falls back to the framed parse and rewrites the sidecar;
-* sidecar writes are atomic (temp + ``os.replace``) and best-effort — a
+* sidecar writes are atomic
+  (:func:`repro.measurement.storage.atomic_file`) and best-effort — a
   full disk or read-only directory degrades to framed-speed loads, never
   to an error or a stale read;
 * salvage (:func:`repro.measurement.export.recover_dataset`) never
@@ -33,13 +34,13 @@ from __future__ import annotations
 
 import hashlib
 import mmap
-import os
 import pickle
 import struct
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import MeasurementError
+from repro.measurement.storage import atomic_file
 from repro.simulation.dataset import StudyDataset
 from repro.telemetry import get_logger
 from repro.telemetry.trace import active_trace
@@ -160,26 +161,16 @@ def write_sidecar(
     try:
         if fingerprint is None:
             fingerprint = file_fingerprint(export_path)
-        payload = encode_shard_payload(dataset, None, None, None)
+        payload = encode_shard_payload(dataset, None, None)
         header = pickle.dumps(
             {"fingerprint": fingerprint, "clients": dataset.clients},
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        path = sidecar_path(export_path)
-        tmp_path = f"{path}.tmp-{os.getpid()}"
-        try:
-            with open(tmp_path, "wb") as handle:
-                handle.write(MAGIC)
-                handle.write(_LEN.pack(len(header)))
-                handle.write(header)
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, path)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
+        with atomic_file(sidecar_path(export_path), "wb") as handle:
+            handle.write(MAGIC)
+            handle.write(_LEN.pack(len(header)))
+            handle.write(header)
+            handle.write(payload)
     except (OSError, MeasurementError, pickle.PicklingError) as error:
         _log.warning(
             "columnar sidecar write failed; loads fall back to frames",
@@ -267,7 +258,7 @@ def load_sidecar(
             SIDECAR_STATS.fallbacks += 1
             _trace_sidecar("miss", export_path, reason="stale")
             return None
-        dataset, _, _, _ = decode_shard_payload(
+        dataset, _, _ = decode_shard_payload(
             view[payload_start:], tuple(header["clients"])
         )
         SIDECAR_STATS.hits += 1

@@ -6,36 +6,29 @@ it take milliseconds.  These helpers serialize a
 once and analyzed many times — the same split the paper's backend
 storage provided.
 
-Three on-disk formats:
+One on-disk format, the framed export (format version 3): a crash-safe
+framed segment file (:mod:`repro.measurement.storage`) holding a header
+frame, client chunks, per-day aggregate and passive frames, request-diff
+chunks, and a footer, each line independently length- and CRC-verified,
+written via temp file + atomic rename.
 
-* **v3 (current)** — the framed segment layout of v2 extended with
-  sketch-aware frames: aggregate rows may carry a sketch object instead
-  of packed raw samples, bounded diff logs write per-(day, region)
-  ``diff_sketches`` frames instead of row chunks, bounded passive logs
-  write per-day ``passive_totals`` frames, and the header records the
-  sketch configuration so loads rebuild sinks in the right mode.
-* **v2** — a crash-safe framed segment file
-  (:mod:`repro.measurement.storage`): a header frame, client chunks,
-  per-day aggregate/passive frames, request-diff chunks, and a footer,
-  each line independently length- and CRC-verified, written via temp
-  file + atomic rename.  Still readable; exact-mode datasets written
-  today differ from v2 only by the header's version and sketch fields.
-  :func:`load_dataset` reads framed files strictly;
-  :func:`recover_dataset` salvages damaged ones — skipping corrupt
-  frames, truncating torn tails — and reports exactly what survived.
-* **v1 (legacy)** — a single JSON document.  Still readable
-  (:func:`load_dataset` sniffs the format), never written, and unable
-  to represent sketch-mode sinks (attempting to raises).
+* The header records the calendar, counts, coverage, load summary and
+  sketch configuration, so loads rebuild sinks in the right mode.
+* Aggregate rows carry packed raw samples (base64 float64) or, for
+  promoted cells, a sketch object; bounded diff logs write per-(day,
+  region) ``diff_sketches`` frames instead of row chunks; bounded
+  passive logs write per-day ``passive_totals`` frames.
 
-Latency samples are packed as base64 arrays in all formats to keep
-files compact.
+:func:`load_dataset` reads an export strictly (through its ``.cols``
+sidecar when a fresh one exists, :mod:`repro.measurement.columnar`);
+:func:`recover_dataset` salvages a damaged one — skipping corrupt
+frames, truncating torn tails — and reports exactly what survived.
 """
 
 from __future__ import annotations
 
 import base64
 import datetime
-import json
 from array import array
 from dataclasses import dataclass
 from typing import Any, Dict, IO, Iterator, List, Optional, Tuple, Union
@@ -63,14 +56,8 @@ from repro.net.ip import IPv4Prefix
 from repro.simulation.clock import SimulationCalendar
 from repro.simulation.dataset import StudyDataset
 
-#: Format marker of the framed segment exports this module writes.
+#: Format marker of the framed exports this module writes and reads.
 FORMAT_VERSION = 3
-
-#: Framed format versions :func:`load_dataset` still reads.
-SUPPORTED_FORMAT_VERSIONS = (2, 3)
-
-#: Format marker of the legacy single-JSON-document exports (still read).
-LEGACY_FORMAT_VERSION = 1
 
 #: Client records per ``clients`` frame.
 _CLIENT_CHUNK = 500
@@ -92,21 +79,28 @@ def _unpack_doubles(text: str) -> array:
     return packed
 
 
-def _digest_payload(digest: LatencyDigest) -> Any:
-    """One aggregate row's value cell: packed samples (exact) or a
-    sketch object (promoted)."""
+def digest_payload(digest: LatencyDigest) -> Any:
+    """Serialize one :class:`LatencyDigest` to a JSON-safe payload.
+
+    Exact digests pack their float64 samples bit-exactly (base64);
+    promoted digests serialize their sketch.  This is one aggregate
+    row's value cell, and the live service's window checkpoints reuse
+    it so a spilled window round-trips without losing a bit.
+    """
     if digest.is_exact:
         return _pack_doubles(digest.values_view())
     assert digest.sketch is not None
     return {"sketch": digest.sketch.to_obj()}
 
 
-def _digest_from_payload(
+def digest_from_payload(
     payload: Any,
     exact_threshold: Optional[int],
     relative_accuracy: float,
     max_buckets: int = DEFAULT_MAX_BUCKETS,
 ) -> LatencyDigest:
+    """Inverse of :func:`digest_payload`, rebuilding the digest with the
+    given sketch-mode configuration."""
     if isinstance(payload, dict):
         return LatencyDigest.from_sketch(
             LatencySketch.from_obj(payload["sketch"]),
@@ -123,64 +117,11 @@ def _digest_from_payload(
     return digest
 
 
-def digest_payload(digest: LatencyDigest) -> Any:
-    """Serialize one :class:`LatencyDigest` to a JSON-safe payload.
-
-    Exact digests pack their float64 samples bit-exactly (base64);
-    promoted digests serialize their sketch.  Public companion of the
-    internal aggregate-row packing, reused by the live service's window
-    checkpoints so a spilled window round-trips without losing a bit.
-    """
-    return _digest_payload(digest)
-
-
-def digest_from_payload(
-    payload: Any,
-    exact_threshold: Optional[int],
-    relative_accuracy: float,
-    max_buckets: int = DEFAULT_MAX_BUCKETS,
-) -> LatencyDigest:
-    """Inverse of :func:`digest_payload`, rebuilding the digest with the
-    given sketch-mode configuration."""
-    return _digest_from_payload(
-        payload, exact_threshold, relative_accuracy, max_buckets
-    )
-
-
-def _aggregates_to_obj(aggregates: GroupedDailyAggregates) -> Dict[str, Any]:
-    if aggregates.exact_threshold is not None:
-        raise MeasurementError(
-            "legacy (v1) JSON documents cannot represent sketch-mode "
-            "aggregates; save through the framed exporter"
-        )
-    days: Dict[str, Any] = {}
-    for day in aggregates.days:
-        rows: List[Any] = []
-        for group, target_id, digest in aggregates.iter_day(day):
-            rows.append(
-                [group, target_id, _pack_doubles(digest.values_view())]
-            )
-        days[str(day)] = rows
-    return {"grouping": aggregates.grouping, "days": days}
-
-
-def _aggregates_from_obj(obj: Dict[str, Any]) -> GroupedDailyAggregates:
-    aggregates = GroupedDailyAggregates(obj["grouping"])
-    for day_text, rows in obj["days"].items():
-        day = int(day_text)
-        for group, target_id, packed in rows:
-            digest = aggregates._days.setdefault(day, {}).setdefault(
-                group, {}
-            )
-            digest[target_id] = LatencyDigest(_unpack_doubles(packed))
-    return aggregates
-
-
 def _aggregate_day_rows(
     aggregates: GroupedDailyAggregates, day: int
 ) -> List[Any]:
     return [
-        [group, target_id, _digest_payload(digest)]
+        [group, target_id, digest_payload(digest)]
         for group, target_id, digest in aggregates.iter_day(day)
     ]
 
@@ -192,26 +133,12 @@ def _apply_aggregate_rows(
         per_group = aggregates._days.setdefault(day, {}).setdefault(
             group, {}
         )
-        per_group[target_id] = _digest_from_payload(
+        per_group[target_id] = digest_from_payload(
             payload,
             aggregates.exact_threshold,
             aggregates.relative_accuracy,
             aggregates.max_buckets,
         )
-
-
-def _passive_to_obj(passive: PassiveLog) -> Dict[str, Any]:
-    if passive.is_bounded:
-        raise MeasurementError(
-            "legacy (v1) JSON documents cannot represent a bounded "
-            "passive log; save through the framed exporter"
-        )
-    return {
-        str(day): {
-            client_key: counts for client_key, counts in passive.iter_day(day)
-        }
-        for day in passive.days
-    }
 
 
 def _passive_day_obj(passive: PassiveLog, day: int) -> Dict[str, Any]:
@@ -226,13 +153,6 @@ def _apply_passive_day(
     for client_key, counts in clients.items():
         for frontend_id, count in counts.items():
             passive.record(day, client_key, frontend_id, int(count))
-
-
-def _passive_from_obj(obj: Dict[str, Any]) -> PassiveLog:
-    passive = PassiveLog()
-    for day_text, clients in obj.items():
-        _apply_passive_day(passive, int(day_text), clients)
-    return passive
 
 
 def _diffs_slice_obj(
@@ -253,15 +173,6 @@ def _diffs_slice_obj(
     }
 
 
-def _diffs_to_obj(diffs: RequestDiffLog) -> Dict[str, Any]:
-    if diffs.is_bounded:
-        raise MeasurementError(
-            "legacy (v1) JSON documents cannot represent a bounded "
-            "request-diff log; save through the framed exporter"
-        )
-    return _diffs_slice_obj(diffs, 0, len(diffs))
-
-
 def _apply_diffs_obj(diffs: RequestDiffLog, obj: Dict[str, Any]) -> None:
     names = obj["region_names"]
     for name in names:
@@ -273,12 +184,6 @@ def _apply_diffs_obj(diffs: RequestDiffLog, obj: Dict[str, Any]) -> None:
     best = _unpack_doubles(obj["best_unicast"])
     for day, client, region, a, b in zip(days, clients, regions, anycast, best):
         diffs.observe(int(day), int(client), names[int(region)], a, b)
-
-
-def _diffs_from_obj(obj: Dict[str, Any]) -> RequestDiffLog:
-    diffs = RequestDiffLog()
-    _apply_diffs_obj(diffs, obj)
-    return diffs
 
 
 def _client_to_obj(client: ClientPrefix) -> Dict[str, Any]:
@@ -307,104 +212,12 @@ def _client_from_obj(obj: Dict[str, Any]) -> ClientPrefix:
 
 
 # ----------------------------------------------------------------------
-# Legacy v1: one JSON document
-# ----------------------------------------------------------------------
-
-
-def dataset_to_json(dataset: StudyDataset) -> Dict[str, Any]:
-    """Serialize a dataset to a legacy (v1) JSON document.
-
-    Kept for in-memory round trips and compatibility; files written by
-    :func:`save_dataset` use the framed v3 format instead.
-    """
-    return {
-        "format_version": LEGACY_FORMAT_VERSION,
-        "calendar": {
-            "start": dataset.calendar.start.isoformat(),
-            "num_days": dataset.calendar.num_days,
-        },
-        "clients": [_client_to_obj(c) for c in dataset.clients],
-        "ecs_aggregates": _aggregates_to_obj(dataset.ecs_aggregates),
-        "ldns_aggregates": _aggregates_to_obj(dataset.ldns_aggregates),
-        "request_diffs": _diffs_to_obj(dataset.request_diffs),
-        "passive": _passive_to_obj(dataset.passive),
-        "beacon_count": dataset.beacon_count,
-        "measurement_count": dataset.measurement_count,
-        "covered_ranges": [
-            [start, stop] for start, stop in (dataset.covered_ranges or ())
-        ],
-        "load_summary": dataset.load_summary,
-    }
-
-
-def _check_version(
-    version: Any, expected: Tuple[int, ...], what: str
-) -> None:
-    if version is None:
-        raise MeasurementError(
-            f"{what} carries no format version field — not a dataset "
-            "export, or one too damaged to identify"
-        )
-    if version not in expected:
-        raise MeasurementError(
-            f"unsupported dataset format version {version!r}"
-        )
-
-
-def dataset_from_json(document: Dict[str, Any]) -> StudyDataset:
-    """Rebuild a dataset from :func:`dataset_to_json`'s output.
-
-    Raises:
-        MeasurementError: on a missing/unknown format version, or a
-            structurally incomplete document (every malformed shape
-            surfaces as a clear error, never a raw ``KeyError``).
-    """
-    _check_version(
-        document.get("format_version"), (LEGACY_FORMAT_VERSION,),
-        "dataset document",
-    )
-    try:
-        calendar = SimulationCalendar(
-            start=datetime.date.fromisoformat(document["calendar"]["start"]),
-            num_days=int(document["calendar"]["num_days"]),
-        )
-        # Files written before coverage tracking carry no key; those read
-        # as full coverage (None), while an explicit list — even an empty
-        # one — is preserved so partial datasets survive the round trip.
-        if "covered_ranges" in document:
-            covered: Optional[Tuple[Tuple[int, int], ...]] = tuple(
-                (int(start), int(stop))
-                for start, stop in document["covered_ranges"]
-            )
-        else:
-            covered = None
-        return StudyDataset(
-            calendar=calendar,
-            clients=tuple(
-                _client_from_obj(obj) for obj in document["clients"]
-            ),
-            ecs_aggregates=_aggregates_from_obj(document["ecs_aggregates"]),
-            ldns_aggregates=_aggregates_from_obj(document["ldns_aggregates"]),
-            request_diffs=_diffs_from_obj(document["request_diffs"]),
-            passive=_passive_from_obj(document["passive"]),
-            beacon_count=int(document["beacon_count"]),
-            measurement_count=int(document["measurement_count"]),
-            covered_ranges=covered,
-            load_summary=document.get("load_summary"),
-        )
-    except KeyError as error:
-        raise MeasurementError(
-            f"malformed dataset document: missing field {error}"
-        ) from error
-
-
-# ----------------------------------------------------------------------
-# v2: framed segment files
+# Frames
 # ----------------------------------------------------------------------
 
 
 def _dataset_frames(dataset: StudyDataset) -> Iterator[Dict[str, Any]]:
-    """Yield a dataset as v3 frames (header, clients, data, no footer)."""
+    """Yield a dataset as frames (header, clients, data, no footer)."""
     clients = dataset.clients
     client_chunks = max(
         1, (len(clients) + _CLIENT_CHUNK - 1) // _CLIENT_CHUNK
@@ -436,7 +249,7 @@ def _dataset_frames(dataset: StudyDataset) -> Iterator[Dict[str, Any]]:
         "client_count": len(clients),
         "client_chunks": client_chunks,
         "diff_chunks": diff_chunks,
-        # Sketch configuration (v3): loads rebuild sinks in this mode.
+        # Sketch configuration: loads rebuild sinks in this mode.
         "sketch": {
             "exact_threshold": ecs.exact_threshold,
             "relative_accuracy": ecs.relative_accuracy,
@@ -555,10 +368,11 @@ class DatasetRecovery:
 def _dataset_from_frames(
     frames: List[Dict[str, Any]], report: RecoveryReport
 ) -> Tuple[StudyDataset, DatasetRecovery]:
-    """Assemble a dataset from decoded v2 frames.
+    """Assemble a dataset from decoded frames.
 
     Raises:
-        MeasurementError: on a missing/unknown header format version.
+        MeasurementError: on a missing/unknown header format version, or
+            a header or frame missing a required field.
         StorageError: when the salvageable frames cannot anchor a
             dataset at all (no header, or client chunks missing).
     """
@@ -568,10 +382,16 @@ def _dataset_from_frames(
             "damaged"
         )
     header = frames[0]
-    _check_version(
-        header.get("format_version"), SUPPORTED_FORMAT_VERSIONS,
-        "dataset export",
-    )
+    version = header.get("format_version")
+    if version is None:
+        raise MeasurementError(
+            "dataset export carries no format version field — not a "
+            "dataset export, or one too damaged to identify"
+        )
+    if version != FORMAT_VERSION:
+        raise MeasurementError(
+            f"unsupported dataset format version {version!r}"
+        )
     try:
         calendar = SimulationCalendar(
             start=datetime.date.fromisoformat(header["calendar"]["start"]),
@@ -584,17 +404,12 @@ def _dataset_from_frames(
             else tuple((int(s), int(e)) for s, e in covered_obj)
         )
         client_chunks: Dict[int, List[Any]] = {}
-        # v2 headers carry no sketch fields; they read as exact mode.
-        sketch_config = header.get("sketch") or {}
-        exact_threshold = sketch_config.get("exact_threshold")
+        sketch_config = header["sketch"]
+        exact_threshold = sketch_config["exact_threshold"]
         if exact_threshold is not None:
             exact_threshold = int(exact_threshold)
-        relative_accuracy = float(
-            sketch_config.get("relative_accuracy", 0.01)
-        )
-        max_buckets = int(
-            sketch_config.get("max_buckets", DEFAULT_MAX_BUCKETS)
-        )
+        relative_accuracy = float(sketch_config["relative_accuracy"])
+        max_buckets = int(sketch_config["max_buckets"])
         ecs = GroupedDailyAggregates(
             header["ecs_grouping"],
             exact_threshold=exact_threshold,
@@ -607,15 +422,11 @@ def _dataset_from_frames(
             relative_accuracy=relative_accuracy,
             max_buckets=max_buckets,
         )
-        passive = PassiveLog(bounded=bool(header.get("passive_bounded")))
+        passive = PassiveLog(bounded=bool(header["passive_bounded"]))
         diffs = RequestDiffLog(
-            bounded=bool(header.get("diffs_bounded")),
-            relative_accuracy=float(
-                header.get("diffs_accuracy", relative_accuracy)
-            ),
-            max_buckets=int(
-                header.get("diffs_max_buckets", DEFAULT_MAX_BUCKETS)
-            ),
+            bounded=bool(header["diffs_bounded"]),
+            relative_accuracy=float(header["diffs_accuracy"]),
+            max_buckets=int(header["diffs_max_buckets"]),
         )
         diff_chunks: Dict[int, Dict[str, Any]] = {}
         for frame in frames[1:]:
@@ -696,8 +507,7 @@ def _dataset_from_frames(
                 else recovered_measurements
             ),
             covered_ranges=covered,
-            # .get(): headers written before load awareness lack the key.
-            load_summary=header.get("load_summary"),
+            load_summary=header["load_summary"],
         )
         return dataset, recovery
     except KeyError as error:
@@ -712,25 +522,22 @@ def _dataset_from_frames(
 
 
 def save_dataset(
-    dataset: StudyDataset,
-    path_or_file: Union[str, IO[str]],
-    columnar: bool = True,
+    dataset: StudyDataset, path_or_file: Union[str, IO[str]]
 ) -> None:
-    """Write a dataset as a crash-safe framed (v3) export.
+    """Write a dataset as a crash-safe framed export.
 
     Paths are written via temp file + atomic rename, so an interrupted
     save never leaves a torn file at the destination.  Saves to a path
     also write a columnar sidecar (``<path>.cols``,
     :mod:`repro.measurement.columnar`) so later loads skip the JSON
-    frame parse; pass ``columnar=False`` to suppress it.  The sidecar
-    is best-effort — failing to write it never fails the save.
+    frame parse.  The sidecar is best-effort — failing to write it never
+    fails the save.
     """
     write_segment_file(path_or_file, _dataset_frames(dataset))
     if isinstance(path_or_file, str):
-        if columnar:
-            from repro.measurement.columnar import write_sidecar
+        from repro.measurement.columnar import write_sidecar
 
-            write_sidecar(path_or_file, dataset)
+        write_sidecar(path_or_file, dataset)
         _log.info(
             "dataset saved",
             extra={
@@ -740,32 +547,45 @@ def save_dataset(
         )
 
 
-def _read_text(path_or_file: Union[str, IO[str]]) -> Tuple[str, str]:
+def _read_framed_text(path_or_file: Union[str, IO[str]]) -> Tuple[str, str]:
+    """The export's text and a source label for error messages.
+
+    Raises:
+        MeasurementError: when the input does not begin with a frame's
+            length prefix (an empty file, a JSON document, ...): there is
+            no frame structure to load or salvage.
+    """
     if isinstance(path_or_file, str):
         with open(path_or_file, "r", encoding="utf-8", newline="") as handle:
-            return handle.read(), path_or_file
-    return path_or_file.read(), getattr(path_or_file, "name", "<stream>")
+            text, source = handle.read(), path_or_file
+    else:
+        text = path_or_file.read()
+        source = getattr(path_or_file, "name", "<stream>")
+    if not text[:1].isdigit():
+        raise MeasurementError(
+            f"{source}: not a framed dataset export (it does not begin "
+            "with a frame length prefix)"
+        )
+    return text, source
 
 
-def load_dataset(
-    path_or_file: Union[str, IO[str]], columnar: bool = True
-) -> StudyDataset:
-    """Read a dataset export (framed v2 or v3, or a legacy v1 JSON document).
+def load_dataset(path_or_file: Union[str, IO[str]]) -> StudyDataset:
+    """Read a framed dataset export (path or open text stream).
 
-    Strict: a damaged v2 file raises :class:`StorageError` (use
-    :func:`recover_dataset` to salvage), and a version-less or
-    unknown-version file raises a clear :class:`MeasurementError`.
+    Strict: a damaged export raises :class:`StorageError` (use
+    :func:`recover_dataset` to salvage), and input that is not a framed
+    export at all, carries no or another format version, or lacks a
+    required header field raises a clear :class:`MeasurementError`.
 
     Loads from a path first try the columnar sidecar
     (:mod:`repro.measurement.columnar`): when one exists and its
     fingerprint matches the export's current bytes, the dataset decodes
     from memory-mapped columns without touching the JSON frames.  A
-    missing or stale sidecar falls back to the framed parse and — for a
-    framed file — rewrites the sidecar so the next load is fast again.
-    Pass ``columnar=False`` to force the framed parse.
+    missing or stale sidecar falls back to the framed parse, which
+    rewrites the sidecar so the next load is fast again.
     """
     fingerprint = None
-    if isinstance(path_or_file, str) and columnar:
+    if isinstance(path_or_file, str):
         from repro.measurement.columnar import (
             file_fingerprint,
             load_sidecar,
@@ -785,25 +605,14 @@ def load_dataset(
                 extra={"path": path_or_file, "columnar": True},
             )
             return cached
-    text, source = _read_text(path_or_file)
-    if text.lstrip()[:1] == "{":
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise MeasurementError(
-                f"{source}: not a dataset export (unparseable JSON "
-                f"document: {error})"
-            ) from error
-        dataset = dataset_from_json(document)
-    else:
-        frames, report = read_segment_text(text, strict=True, source=source)
-        dataset, _ = _dataset_from_frames(frames, report)
-        if fingerprint is not None:
-            # Framed parse succeeded but the sidecar was absent/stale:
-            # refresh it (best-effort) so the next load takes the
-            # columnar path.
-            write_sidecar(path_or_file, dataset, fingerprint)
-    if isinstance(path_or_file, str):
+    text, source = _read_framed_text(path_or_file)
+    frames, report = read_segment_text(text, strict=True, source=source)
+    dataset, _ = _dataset_from_frames(frames, report)
+    if fingerprint is not None:
+        # Framed parse succeeded but the sidecar was absent/stale:
+        # refresh it (best-effort) so the next load takes the columnar
+        # path.
+        write_sidecar(path_or_file, dataset, fingerprint)
         _log.info("dataset loaded", extra={"path": path_or_file})
     return dataset
 
@@ -813,6 +622,7 @@ def recover_dataset(
 ) -> Tuple[StudyDataset, DatasetRecovery]:
     """Salvage a (possibly damaged) framed export.
 
+    Works purely from the frames — never from the ``.cols`` sidecar.
     Skips corrupt frames, truncates the torn tail, and returns whatever
     dataset the surviving frames describe plus a
     :class:`DatasetRecovery` accounting for exactly what was lost.  An
@@ -820,15 +630,12 @@ def recover_dataset(
     returns, with ``recovery.complete`` true.
 
     Raises:
+        MeasurementError: when the input is not a framed export at all
+            (it does not begin with a frame length prefix).
         StorageError: when not even a header + client frames survived —
             there is no dataset to anchor.
     """
-    text, source = _read_text(path_or_file)
-    if text.lstrip()[:1] == "{":
-        raise MeasurementError(
-            f"{source}: legacy (v1) JSON exports have no frame structure "
-            "to recover; re-export in the framed format"
-        )
+    text, source = _read_framed_text(path_or_file)
     frames, report = read_segment_text(text, strict=False, source=source)
     dataset, recovery = _dataset_from_frames(frames, report)
     if not recovery.complete:

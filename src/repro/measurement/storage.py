@@ -15,8 +15,10 @@ lines::
 * Files end with a footer frame recording the frame count, so a reader
   can tell "complete" from "cut off after a valid frame".
 * Writers targeting a path go through a temp file + ``fsync`` +
-  ``os.replace``, so a crash mid-export leaves the previous file intact
-  — readers never observe a half-written path.
+  ``os.replace`` (:func:`atomic_file`, the one such primitive every
+  export, sidecar and checkpoint writer shares), so a crash mid-export
+  leaves the previous file intact — readers never observe a
+  half-written path.
 
 Readers come in two postures: :func:`read_segment_file` with
 ``strict=True`` raises :class:`repro.errors.StorageError` on any damage
@@ -24,21 +26,43 @@ Readers come in two postures: :func:`read_segment_file` with
 salvages what it can and reports exactly what was lost in a
 :class:`RecoveryReport` — truncating torn tails and skipping corrupt
 frames instead of raising mid-parse.
+
+Checkpoints (:func:`write_checkpoint` / :func:`read_checkpoint`) reuse
+the framing for one envelope shared by campaign shards and the live
+service: a CRC-framed header line naming the owner (kind, identity) and
+vouching for the payload (length, SHA-256, owner anchors), then the raw
+payload bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import os
 import zlib
 from dataclasses import dataclass, field
-from typing import IO, Any, Dict, Iterable, List, Tuple, Union
+from typing import (
+    IO,
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+    Union,
+)
 
-from repro.errors import StorageError
+from repro.errors import CheckpointError, StorageError
 
 #: Frame kind key every frame carries.
 FRAME_KIND_KEY = "kind"
 FOOTER_KIND = "footer"
+
+#: Format version every checkpoint header carries; a header with any
+#: other version reads as "not mine" (:func:`read_checkpoint`).
+CHECKPOINT_FORMAT_VERSION = 2
 
 
 def format_frame(obj: Dict[str, Any]) -> str:
@@ -122,25 +146,14 @@ def write_segment_file(
 ) -> int:
     """Write frames (plus the footer) crash-safely; returns frame count.
 
-    Writing to a path goes through ``<path>.tmp-<pid>`` and an atomic
-    ``os.replace``, with an ``fsync`` in between, so the destination
-    either keeps its old content or holds the complete new file — never
-    a prefix.  Writing to an open stream emits the frames directly (the
-    caller owns that stream's durability).
+    Writing to a path goes through :func:`atomic_file`, so the
+    destination either keeps its old content or holds the complete new
+    file — never a prefix.  Writing to an open stream emits the frames
+    directly (the caller owns that stream's durability).
     """
     if isinstance(path_or_file, str):
-        tmp_path = f"{path_or_file}.tmp-{os.getpid()}"
-        try:
-            with open(tmp_path, "w", encoding="ascii") as handle:
-                count = _write_frames(handle, frames)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_path, path_or_file)
-        except BaseException:
-            if os.path.exists(tmp_path):
-                os.unlink(tmp_path)
-            raise
-        return count
+        with atomic_file(path_or_file, "w", encoding="ascii") as handle:
+            return _write_frames(handle, frames)
     return _write_frames(path_or_file, frames)
 
 
@@ -224,12 +237,23 @@ def read_segment_file(
     return read_segment_text(text, strict=strict, source=source)
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write text to a path via temp file + fsync + atomic rename."""
+@contextlib.contextmanager
+def atomic_file(
+    path: str, mode: str = "w", encoding: Optional[str] = "utf-8"
+) -> Iterator[IO[Any]]:
+    """Open ``path`` for an all-or-nothing write.
+
+    Yields a handle on ``<path>.tmp-<pid>``; when the block exits
+    cleanly the temp file is flushed, ``fsync``-ed and atomically
+    renamed over ``path``.  Any exception removes the temp file and
+    propagates, leaving ``path``'s previous content untouched.
+    """
     tmp_path = f"{path}.tmp-{os.getpid()}"
     try:
-        with open(tmp_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(
+            tmp_path, mode, encoding=None if "b" in mode else encoding
+        ) as handle:
+            yield handle
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp_path, path)
@@ -237,3 +261,89 @@ def atomic_write_text(path: str, text: str) -> None:
         if os.path.exists(tmp_path):
             os.unlink(tmp_path)
         raise
+
+
+def atomic_write_text(path: str, text: str) -> None:
+    """Write text to a path via :func:`atomic_file`."""
+    with atomic_file(path) as handle:
+        handle.write(text)
+
+
+def write_checkpoint(
+    path: str,
+    kind: str,
+    identity: Dict[str, Any],
+    payload: bytes,
+    anchors: Optional[Dict[str, Any]] = None,
+) -> None:
+    """Spill one checkpoint file in a single atomic rename.
+
+    The file is one CRC-framed header line followed by ``payload``.
+    The header names the owner (``kind`` and the JSON-native
+    ``identity`` a reader must match), vouches for the payload (byte
+    length and SHA-256), and carries ``anchors``: extra integrity values
+    the owner verifies after decoding the payload.
+    """
+    header = {
+        FRAME_KIND_KEY: kind,
+        "format_version": CHECKPOINT_FORMAT_VERSION,
+        "identity": identity,
+        "payload_bytes": len(payload),
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
+        "anchors": dict(anchors or {}),
+    }
+    with atomic_file(path, "wb") as handle:
+        handle.write(format_frame(header).encode("ascii"))
+        handle.write(payload)
+
+
+def read_checkpoint(
+    path: str, kind: str, identity: Dict[str, Any]
+) -> Optional[Tuple[Dict[str, Any], bytes]]:
+    """Read and verify a :func:`write_checkpoint` file.
+
+    Returns ``None`` when the file is absent or belongs to another owner
+    — a different kind, format version, or identity — which is decided
+    from the header alone, before the payload is read or hashed.
+    Otherwise returns ``(header, payload)``; the caller still checks the
+    header's ``anchors`` against what it decodes.
+
+    Raises:
+        CheckpointError: when the file is unreadable, its header frame
+            is damaged, or the payload's length or SHA-256 disagrees
+            with the header.
+    """
+    if not os.path.exists(path):
+        return None
+    try:
+        with open(path, "rb") as handle:
+            line = handle.readline()
+            try:
+                header = _parse_frame(line.decode("ascii").rstrip("\n"))
+            except ValueError as error:
+                raise CheckpointError(
+                    f"{path}: damaged checkpoint header ({error})"
+                ) from error
+            if (
+                header.get(FRAME_KIND_KEY) != kind
+                or header.get("format_version") != CHECKPOINT_FORMAT_VERSION
+                or header.get("identity") != identity
+            ):
+                return None
+            payload = handle.read()
+    except OSError as error:
+        raise CheckpointError(
+            f"{path}: unreadable checkpoint ({error})"
+        ) from error
+    if len(payload) != header.get("payload_bytes"):
+        raise CheckpointError(
+            f"{path}: checkpoint payload length mismatch (header says "
+            f"{header.get('payload_bytes')}, file holds {len(payload)})"
+        )
+    actual = hashlib.sha256(payload).hexdigest()
+    if actual != header.get("payload_sha256"):
+        raise CheckpointError(
+            f"{path}: checkpoint payload hash mismatch (expected "
+            f"{header.get('payload_sha256')}, got {actual})"
+        )
+    return header, payload

@@ -6,31 +6,32 @@ cursor, the sliding window, the quarantine log, the rolling stream
 digest, and every closed day's predictions — everything a restarted
 process needs to continue the stream bit-identically.
 
-The same trust discipline applies: one JSON document written atomically,
-carrying the service's configuration identity (a config hash plus the
-source fingerprint) and an integrity anchor (SHA-256 of the serialized
-state block).  On resume, a checkpoint is used only when the identity
-matches the requesting service; a matching checkpoint that fails its
-integrity check raises :class:`repro.errors.CheckpointError` — a corrupt
-spill must never silently seed a resumed stream.
+Both use the same envelope
+(:func:`repro.measurement.storage.write_checkpoint`): one file written
+atomically, a header carrying the service's configuration identity (a
+config hash plus the source fingerprint) and the payload's SHA-256, and
+the canonical state JSON as the payload.  On resume, a checkpoint is
+used only when the identity matches the requesting service; a matching
+checkpoint that fails its integrity check raises
+:class:`repro.errors.CheckpointError` — a corrupt spill must never
+silently seed a resumed stream.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from typing import Any, Dict, Optional
 
 from repro.errors import CheckpointError
-from repro.measurement.storage import atomic_write_text
+from repro.measurement.storage import read_checkpoint, write_checkpoint
 from repro.telemetry import get_logger
 
-#: Format marker written into every service checkpoint.
-SERVICE_CHECKPOINT_VERSION = 1
+#: Checkpoint-envelope kind of a service state spill.
+SERVICE_CHECKPOINT_KIND = "service"
 
 #: File name of the (single) service checkpoint inside its directory.
-CHECKPOINT_FILENAME = "service-checkpoint.json"
+CHECKPOINT_FILENAME = "service.ckpt"
 
 _log = get_logger("service.checkpoint")
 
@@ -40,42 +41,33 @@ def service_checkpoint_path(directory: str) -> str:
     return os.path.join(directory, CHECKPOINT_FILENAME)
 
 
-def _state_sha256(state: Dict[str, Any]) -> str:
-    payload = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def write_service_checkpoint(
     directory: str,
     identity: Dict[str, Any],
     state: Dict[str, Any],
-) -> Dict[str, Any]:
+) -> None:
     """Spill the service's loop state with an integrity anchor.
 
     ``identity`` describes which service the state belongs to (config
     hash, source fingerprint, seed); ``state`` is the loop state block
-    (cursor, window, quarantine, stream digest, predictions, attempt).
-    Returns the document written.  The write is atomic, so a crash
+    (cursor, window, quarantine, stream digest, predictions, attempt),
+    serialized once as canonical JSON.  The write is atomic, so a crash
     mid-spill leaves the previous checkpoint intact — the loop may
     replay a tail of already-processed events on resume, which the
     cursor makes idempotent.
     """
     os.makedirs(directory, exist_ok=True)
-    document = {
-        "format_version": SERVICE_CHECKPOINT_VERSION,
-        "identity": dict(identity),
-        "state_sha256": _state_sha256(state),
-        "state": state,
-    }
-    atomic_write_text(
+    payload = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    write_checkpoint(
         service_checkpoint_path(directory),
-        json.dumps(document, indent=2, sort_keys=True) + "\n",
+        SERVICE_CHECKPOINT_KIND,
+        dict(identity),
+        payload.encode("utf-8"),
     )
     _log.debug(
         "service checkpoint written",
         extra={"cursor": state.get("cursor"), "directory": directory},
     )
-    return document
 
 
 def load_service_checkpoint(
@@ -91,31 +83,20 @@ def load_service_checkpoint(
         CheckpointError: when the checkpoint claims to match but is
             unreadable or fails its integrity anchor.
     """
-    path = service_checkpoint_path(directory)
-    if not os.path.exists(path):
+    found = read_checkpoint(
+        service_checkpoint_path(directory),
+        SERVICE_CHECKPOINT_KIND,
+        dict(identity),
+    )
+    if found is None:
         return None
+    _, payload = found
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
+        state = json.loads(payload)
+    except ValueError as error:
         raise CheckpointError(
-            f"unreadable service checkpoint ({error})"
+            f"service checkpoint state is not JSON ({error})"
         ) from error
-    if document.get("format_version") != SERVICE_CHECKPOINT_VERSION:
-        return None
-    if document.get("identity") != dict(identity):
-        _log.debug(
-            "service checkpoint not applicable",
-            extra={"directory": directory},
-        )
-        return None
-    state = document.get("state")
     if not isinstance(state, dict):
         raise CheckpointError("service checkpoint carries no state block")
-    actual = _state_sha256(state)
-    if actual != document.get("state_sha256"):
-        raise CheckpointError(
-            "service checkpoint state hash mismatch "
-            f"(expected {document.get('state_sha256')}, got {actual})"
-        )
     return state

@@ -714,14 +714,6 @@ class PathCacheStats:
         total = self.unicast_hits + self.unicast_misses
         return self.unicast_hits / total if total else 0.0
 
-    def merge(self, other: "PathCacheStats") -> "PathCacheStats":
-        """Fold another cache's counters into this one (in place)."""
-        self.anycast_hits += other.anycast_hits
-        self.anycast_misses += other.anycast_misses
-        self.unicast_hits += other.unicast_hits
-        self.unicast_misses += other.unicast_misses
-        return self
-
     @classmethod
     def from_snapshot(cls, snapshot) -> "PathCacheStats":
         """The view over a telemetry snapshot's ``path_cache.*`` counters."""
@@ -772,24 +764,6 @@ class CampaignStats:
         if self.wall_seconds <= 0.0:
             return 0.0
         return self.beacon_count / self.wall_seconds
-
-    def merge(self, other: "CampaignStats") -> "CampaignStats":
-        """Fold another (shard's) stats into this one (in place).
-
-        Wall time takes the max — concurrent shards overlap — while the
-        per-day times add up as total effort spent on each day.
-        """
-        self.wall_seconds = max(self.wall_seconds, other.wall_seconds)
-        self.beacon_count += other.beacon_count
-        self.measurement_count += other.measurement_count
-        if len(other.day_seconds) > len(self.day_seconds):
-            self.day_seconds.extend(
-                [0.0] * (len(other.day_seconds) - len(self.day_seconds))
-            )
-        for day, seconds in enumerate(other.day_seconds):
-            self.day_seconds[day] += seconds
-        self.path_cache.merge(other.path_cache)
-        return self
 
     @classmethod
     def from_snapshot(cls, snapshot) -> "CampaignStats":

@@ -2,108 +2,98 @@
 
 A multi-day sharded campaign should not lose completed work to one bad
 shard or a mid-run abort.  When a campaign runs with a checkpoint
-directory, the coordinator spills every completed shard's partial
-:class:`~repro.simulation.dataset.StudyDataset` to disk as it lands:
+directory, the coordinator spills every completed shard as it lands, as
+one ``shard-NNNN.ckpt`` file in the shared checkpoint envelope
+(:func:`repro.measurement.storage.write_checkpoint`):
 
-* ``shard-NNNN.json`` — the partial dataset, in the standard export
-  format (:mod:`repro.measurement.export`);
-* ``shard-NNNN.manifest.json`` — the shard's identity (index, client
-  range, seed, config hash) plus two integrity anchors: the SHA-256 of
-  the payload file bytes and the dataset's canonical ``digest()``.
+* the **header** names the shard (index, client range, seed, config
+  hash) and carries two integrity anchors: the SHA-256 of the payload
+  and the shard dataset's canonical ``digest()``;
+* the **payload** is the shard's columnar transport bytes
+  (:mod:`repro.simulation.transport`) exactly as the coordinator
+  received and hash-checked them from the worker, so the shard's
+  quarantine log rides inside.
 
-On resume, a checkpoint is only reused when its manifest matches the
+On resume, a checkpoint is only reused when its header matches the
 requesting campaign (same shard layout, seed, and config hash — a
 different engine or beacon config produces different data, so its hash
-differs) *and* both integrity anchors verify.  A payload that fails
+differs) *and* both integrity anchors verify.  A checkpoint that fails
 verification raises :class:`repro.errors.CheckpointError`; the caller
 treats that as "no checkpoint" and re-runs the shard, because a corrupt
 spill must never silently feed an analysis.
+
+Loading a checkpoint unpickles the transport manifest, as loading a
+``.cols`` sidecar (:mod:`repro.measurement.columnar`) already does, so a
+checkpoint directory is trusted like an export directory: only resume
+from directories this project wrote.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import CheckpointError
-from repro.measurement.export import load_dataset, save_dataset
-from repro.measurement.storage import atomic_write_text
+from repro.measurement.storage import read_checkpoint, write_checkpoint
 from repro.measurement.validate import QuarantineLog
 from repro.simulation.dataset import StudyDataset
+from repro.simulation.transport import decode_shard_payload
 from repro.telemetry import get_logger
 
-#: Format marker written into every shard checkpoint manifest.
-CHECKPOINT_FORMAT_VERSION = 1
+#: Checkpoint-envelope kind of a campaign shard spill.
+SHARD_CHECKPOINT_KIND = "campaign-shard"
 
 _log = get_logger("checkpoint")
 
 
-def shard_payload_path(directory: str, shard_index: int) -> str:
-    """Path of a shard's spilled dataset inside a checkpoint directory."""
-    return os.path.join(directory, f"shard-{shard_index:04d}.json")
+def shard_checkpoint_path(directory: str, shard_index: int) -> str:
+    """Path of a shard's checkpoint file inside a checkpoint directory."""
+    return os.path.join(directory, f"shard-{shard_index:04d}.ckpt")
 
 
-def shard_manifest_path(directory: str, shard_index: int) -> str:
-    """Path of a shard's checkpoint manifest."""
-    return os.path.join(directory, f"shard-{shard_index:04d}.manifest.json")
-
-
-def _sha256_of_file(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _shard_identity(
+    shard_index: int,
+    client_range: Tuple[int, int],
+    seed: int,
+    config_hash: str,
+) -> Dict[str, Any]:
+    return {
+        "shard_index": shard_index,
+        "client_range": [int(client_range[0]), int(client_range[1])],
+        "seed": seed,
+        "config_hash": config_hash,
+    }
 
 
 def write_shard_checkpoint(
     directory: str,
     shard_index: int,
     client_range: Tuple[int, int],
-    dataset: StudyDataset,
+    payload: bytes,
+    dataset_digest: str,
     seed: int,
     config_hash: str,
-    quarantine: Optional[QuarantineLog] = None,
-) -> Dict[str, Any]:
-    """Spill one completed shard's partial dataset with integrity anchors.
+) -> None:
+    """Spill one completed shard's transport bytes with integrity anchors.
 
-    Returns the manifest that was written.  The payload is written
-    first, then hashed from disk, so the manifest vouches for the bytes
-    actually on disk rather than the bytes we meant to write.  Both
-    files land via atomic rename (the payload through the framed
-    writer's temp file, the manifest through
-    :func:`repro.measurement.storage.atomic_write_text`), so an abort
-    mid-spill never leaves a half-written checkpoint.
-
-    When the shard quarantined records, its :class:`QuarantineLog` is
-    embedded in the manifest so a resumed campaign's accounting stays
-    exact.
+    ``payload`` is the shard's encoded result
+    (:func:`repro.simulation.transport.encode_shard_payload`) and
+    ``dataset_digest`` the decoded dataset's ``digest()``.  The file
+    lands in one atomic rename, so an abort mid-spill never leaves a
+    half-written checkpoint.
     """
     os.makedirs(directory, exist_ok=True)
-    payload_path = shard_payload_path(directory, shard_index)
-    save_dataset(dataset, payload_path)
-    manifest = {
-        "format_version": CHECKPOINT_FORMAT_VERSION,
-        "shard_index": shard_index,
-        "client_range": [int(client_range[0]), int(client_range[1])],
-        "seed": seed,
-        "config_hash": config_hash,
-        "dataset_digest": dataset.digest(),
-        "payload_sha256": _sha256_of_file(payload_path),
-    }
-    if quarantine is not None and quarantine.total:
-        manifest["quarantine"] = quarantine.to_obj()
-    atomic_write_text(
-        shard_manifest_path(directory, shard_index),
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+    path = shard_checkpoint_path(directory, shard_index)
+    write_checkpoint(
+        path,
+        SHARD_CHECKPOINT_KIND,
+        _shard_identity(shard_index, client_range, seed, config_hash),
+        payload,
+        anchors={"dataset_digest": dataset_digest},
     )
     _log.debug(
-        "shard checkpoint written",
-        extra={"shard": shard_index, "path": payload_path},
+        "shard checkpoint written", extra={"shard": shard_index, "path": path}
     )
-    return manifest
 
 
 def load_shard_checkpoint(
@@ -112,97 +102,42 @@ def load_shard_checkpoint(
     client_range: Tuple[int, int],
     seed: int,
     config_hash: str,
-) -> Optional[StudyDataset]:
+    clients: Tuple[Any, ...],
+) -> Optional[Tuple[StudyDataset, QuarantineLog]]:
     """Load a shard checkpoint if present, applicable, and intact.
 
-    Returns ``None`` when the checkpoint is absent or belongs to a
-    different campaign shape (other client range, seed, or config hash)
+    Returns the shard's ``(dataset, quarantine)``, with the dataset
+    homed on ``clients`` (the coordinator's population), or ``None``
+    when the checkpoint is absent or belongs to a different campaign
+    shape (other client range, seed, config hash, or checkpoint format)
     — both mean "run the shard".
 
     Raises:
         CheckpointError: when the checkpoint claims to match but fails
-            an integrity check (payload bytes or dataset digest differ
-            from the manifest) — the caller should count the corruption
-            and re-run the shard rather than trust the spill.
+            an integrity check (payload bytes, decoding, or dataset
+            digest) — the caller should count the corruption and re-run
+            the shard rather than trust the spill.
     """
-    manifest_path = shard_manifest_path(directory, shard_index)
-    payload_path = shard_payload_path(directory, shard_index)
-    if not (os.path.exists(manifest_path) and os.path.exists(payload_path)):
+    found = read_checkpoint(
+        shard_checkpoint_path(directory, shard_index),
+        SHARD_CHECKPOINT_KIND,
+        _shard_identity(shard_index, client_range, seed, config_hash),
+    )
+    if found is None:
         return None
+    header, payload = found
     try:
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (OSError, json.JSONDecodeError) as error:
+        dataset, _, quarantine = decode_shard_payload(payload, clients)
+    except Exception as error:  # hash-matching yet undecodable
         raise CheckpointError(
-            f"shard {shard_index}: unreadable checkpoint manifest "
+            f"shard {shard_index}: checkpoint payload failed to decode "
             f"({error})"
         ) from error
-    if (
-        manifest.get("format_version") != CHECKPOINT_FORMAT_VERSION
-        or manifest.get("shard_index") != shard_index
-        or tuple(manifest.get("client_range", ())) != tuple(client_range)
-        or manifest.get("seed") != seed
-        or manifest.get("config_hash") != config_hash
-    ):
-        _log.debug(
-            "shard checkpoint not applicable",
-            extra={"shard": shard_index},
-        )
-        return None
-    actual_sha = _sha256_of_file(payload_path)
-    if actual_sha != manifest.get("payload_sha256"):
-        raise CheckpointError(
-            f"shard {shard_index}: checkpoint payload hash mismatch "
-            f"(expected {manifest.get('payload_sha256')}, got {actual_sha})"
-        )
-    try:
-        dataset = load_dataset(payload_path)
-    except Exception as error:  # corrupt-but-hash-matching is still possible
-        raise CheckpointError(
-            f"shard {shard_index}: checkpoint payload failed to parse "
-            f"({error})"
-        ) from error
-    actual_digest = dataset.digest()
-    if actual_digest != manifest.get("dataset_digest"):
+    expected = header["anchors"].get("dataset_digest")
+    actual = dataset.digest()
+    if actual != expected:
         raise CheckpointError(
             f"shard {shard_index}: checkpoint dataset digest mismatch "
-            f"(expected {manifest.get('dataset_digest')}, "
-            f"got {actual_digest})"
+            f"(expected {expected}, got {actual})"
         )
-    return dataset
-
-
-def load_shard_quarantine(
-    directory: str, shard_index: int
-) -> Optional[QuarantineLog]:
-    """The quarantine log a shard checkpoint recorded, if any.
-
-    Companion to :func:`load_shard_checkpoint` (call it *after* that
-    function accepted the checkpoint — this helper re-reads only the
-    manifest and does not repeat the integrity checks).  Returns ``None``
-    when the manifest is absent, unreadable, or carries no quarantine
-    block (the shard quarantined nothing).
-
-    Raises:
-        CheckpointError: when a quarantine block is present but
-            malformed — a manifest that vouches for accounting it cannot
-            produce must not be silently treated as clean.
-    """
-    manifest_path = shard_manifest_path(directory, shard_index)
-    if not os.path.exists(manifest_path):
-        return None
-    try:
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
-    block = manifest.get("quarantine")
-    if block is None:
-        return None
-    try:
-        return QuarantineLog.from_obj(block)
-    except Exception as error:
-        raise CheckpointError(
-            f"shard {shard_index}: malformed quarantine block in "
-            f"checkpoint manifest ({error})"
-        ) from error
+    return dataset, quarantine

@@ -157,11 +157,6 @@ class BeaconSlotLayout:
         base = np.asarray(client_index, dtype=np.uint64) * np.uint64(ROW_CAP)
         return (base + rows.astype(np.uint64)) * np.uint64(self.stride)
 
-    def path_gids(self, client_index: int, path_slots: np.ndarray) -> np.ndarray:
-        """Daily-variation coordinate bases for (client, path slot)."""
-        base = np.uint64(client_index) * np.uint64(self.path_stride)
-        return base + np.asarray(path_slots, dtype=np.uint64) * np.uint64(3)
-
 
 class DayKeys:
     """The two per-(seed, day) hash keys the beacon synthesis consumes.

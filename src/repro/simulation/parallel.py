@@ -77,7 +77,6 @@ from repro.simulation.campaign import (
 )
 from repro.simulation.checkpoint import (
     load_shard_checkpoint,
-    load_shard_quarantine,
     write_shard_checkpoint,
 )
 from repro.simulation.dataset import StudyDataset
@@ -242,9 +241,8 @@ def _run_shard(task: _ShardTask) -> _ShardEnvelope:
         fault_injector=injector,
     )
     dataset = runner.run()
-    assert runner.stats is not None
     payload = encode_shard_payload(
-        dataset, runner.stats, runner.telemetry.snapshot(), runner.quarantine
+        dataset, runner.telemetry.snapshot(), runner.quarantine
     )
     sha256 = hashlib.sha256(payload).hexdigest()
     # Corruption (injected here, organic anywhere) lands on the encoded
@@ -602,7 +600,6 @@ class ParallelCampaignRunner:
         )
 
         merged: Optional[StudyDataset] = None
-        merged_stats: Optional[CampaignStats] = None
         fired: List[Tuple[int, int, str]] = []
         missing: List[int] = []
         last_error: Dict[int, str] = {}
@@ -624,6 +621,7 @@ class ParallelCampaignRunner:
                     loaded = load_shard_checkpoint(
                         cfg.checkpoint_dir, index, bounds[index],
                         seed=seed, config_hash=checkpoint_hash,
+                        clients=scenario.clients,
                     )
                 except CheckpointError as error:
                     tel.counter(
@@ -647,12 +645,11 @@ class ParallelCampaignRunner:
                 tel.trace.instant(
                     "checkpoint.loaded", "checkpoint", shard=index
                 )
-                merged = loaded if merged is None else merged.merge(loaded)
-                restored_quarantine = load_shard_quarantine(
-                    cfg.checkpoint_dir, index
+                restored, restored_quarantine = loaded
+                merged = (
+                    restored if merged is None else merged.merge(restored)
                 )
-                if restored_quarantine is not None:
-                    self.quarantine.merge(restored_quarantine)
+                self.quarantine.merge(restored_quarantine)
                 pending.discard(index)
                 progress.mark_complete(index)
 
@@ -844,7 +841,7 @@ class ParallelCampaignRunner:
                 ) from error
 
             def on_ready(shard: int, attempt: int, async_result) -> None:
-                nonlocal merged, merged_stats
+                nonlocal merged
                 try:
                     envelope = async_result.get()
                     payload = receive_payload(
@@ -858,7 +855,7 @@ class ParallelCampaignRunner:
                             f"shard {shard} attempt {attempt}: payload "
                             "integrity check failed (content hash mismatch)"
                         )
-                    shard_dataset, shard_stats, shard_snapshot, shard_quarantine = (
+                    shard_dataset, shard_snapshot, shard_quarantine = (
                         decode_shard_payload(payload, scenario.clients)
                     )
                     if (
@@ -874,10 +871,13 @@ class ParallelCampaignRunner:
                     on_failure(shard, attempt, error)
                     return
                 if cfg.checkpoint_dir is not None:
+                    # Spill the bytes just verified against the worker's
+                    # envelope hash: the checkpoint stores exactly what
+                    # this merge consumes.
                     write_shard_checkpoint(
                         cfg.checkpoint_dir, shard, bounds[shard],
-                        shard_dataset, seed=seed, config_hash=checkpoint_hash,
-                        quarantine=shard_quarantine,
+                        payload, shard_dataset.digest(),
+                        seed=seed, config_hash=checkpoint_hash,
                     )
                     tel.counter(
                         "checkpoint.saved_total",
@@ -906,11 +906,6 @@ class ParallelCampaignRunner:
                     shard_dataset
                     if merged is None
                     else merged.merge(shard_dataset)
-                )
-                merged_stats = (
-                    shard_stats
-                    if merged_stats is None
-                    else merged_stats.merge(shard_stats)
                 )
                 pending.discard(shard)
                 progress.mark_complete(shard)
@@ -995,16 +990,14 @@ class ParallelCampaignRunner:
             )
 
         self.fired_faults = tuple(sorted(fired))
-        wall_seconds = time.perf_counter() - run_start
         tel.gauge(
             "campaign.wall_seconds",
             "campaign wall-clock (max across concurrent shards)",
-        ).set(wall_seconds)
-        if merged_stats is None:
-            merged_stats = CampaignStats.from_snapshot(tel.snapshot())
-        merged_stats.wall_seconds = wall_seconds
-        merged_stats.workers = self._workers
-        self.stats = merged_stats
+        ).set(time.perf_counter() - run_start)
+        # The shards' telemetry snapshots were absorbed above, so the
+        # coordinator's registry already holds the merged numbers.
+        self.stats = CampaignStats.from_snapshot(tel.snapshot())
+        self.stats.workers = self._workers
         # Re-home the merged dataset on this process's client tuple (the
         # workers' rebuilt clients are equal by value, but analyses that
         # compare identity expect the coordinator's scenario objects).

@@ -1,13 +1,13 @@
 """Columnar shard-result transport for parallel campaigns.
 
 A shard result used to cross the process boundary as one pickle of the
-whole ``(dataset, stats, snapshot, quarantine)`` tuple — including the
-full client population (identical in every shard) and a per-sample
-object graph.  This module replaces that with a columnar encoding:
+whole ``(dataset, snapshot, quarantine)`` tuple — including the full
+client population (identical in every shard) and a per-sample object
+graph.  This module replaces that with a columnar encoding:
 
-* the **manifest** — everything small (counts, calendar, stats,
-  telemetry snapshot, quarantine, sink configuration, and a table
-  describing the data buffers) — is pickled once;
+* the **manifest** — everything small (counts, calendar, telemetry
+  snapshot, quarantine, sink configuration, and a table describing the
+  data buffers) — is pickled once;
 * the **data buffers** — latency-sample arrays, sketch key/count
   arrays, and the request-diff columns — are appended as raw contiguous
   bytes, no per-element serialization;
@@ -331,10 +331,7 @@ def _passive_from_spec(spec: Dict[str, Any]) -> PassiveLog:
 
 
 def encode_shard_payload(
-    dataset: StudyDataset,
-    stats: Any,
-    snapshot: Any,
-    quarantine: Any,
+    dataset: StudyDataset, snapshot: Any, quarantine: Any
 ) -> bytes:
     """Encode one shard's results as columnar transport bytes."""
     columns = _ColumnWriter()
@@ -349,7 +346,6 @@ def encode_shard_payload(
         "ldns": _aggregates_spec(dataset.ldns_aggregates, columns),
         "diffs": _diffs_spec(dataset.request_diffs, columns),
         "passive": _passive_spec(dataset.passive),
-        "stats": stats,
         "snapshot": snapshot,
         "quarantine": quarantine,
         "columns": columns.table,
@@ -363,7 +359,7 @@ def encode_shard_payload(
 
 def decode_shard_payload(
     payload: bytes, clients: Tuple[Any, ...]
-) -> Tuple[StudyDataset, Any, Any, Any]:
+) -> Tuple[StudyDataset, Any, Any]:
     """Decode columnar transport bytes back into shard results.
 
     ``clients`` is the coordinator's own client tuple — shards never
@@ -413,15 +409,9 @@ def decode_shard_payload(
         beacon_count=manifest["beacon_count"],
         measurement_count=manifest["measurement_count"],
         covered_ranges=manifest["covered_ranges"],
-        # .get(): payloads written before load awareness carry no key.
-        load_summary=manifest.get("load_summary"),
+        load_summary=manifest["load_summary"],
     )
-    return (
-        dataset,
-        manifest["stats"],
-        manifest["snapshot"],
-        manifest["quarantine"],
-    )
+    return dataset, manifest["snapshot"], manifest["quarantine"]
 
 
 # ----------------------------------------------------------------------

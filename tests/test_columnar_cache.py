@@ -57,7 +57,7 @@ def test_sidecar_round_trip_matches_framed_parse(small_dataset, tmp_path):
     save_dataset(small_dataset, path)
     assert os.path.exists(sidecar_path(path))
 
-    framed = load_dataset(path, columnar=False)
+    framed = recover_dataset(path)[0]
     columnar = load_dataset(path)
     _assert_equal_datasets(framed, small_dataset)
     _assert_equal_datasets(columnar, small_dataset)
@@ -74,8 +74,8 @@ def test_load_sidecar_directly(small_dataset, tmp_path):
 
 def test_missing_sidecar_falls_back_and_rewrites(small_dataset, tmp_path):
     path = str(tmp_path / "dataset.json")
-    save_dataset(small_dataset, path, columnar=False)
-    assert not os.path.exists(sidecar_path(path))
+    save_dataset(small_dataset, path)
+    os.remove(sidecar_path(path))
 
     loaded = load_dataset(path)
     _assert_equal_datasets(loaded, small_dataset)
@@ -96,11 +96,14 @@ def test_stale_sidecar_is_rejected_and_refreshed(
         [make_client(1)],
         ecs_samples=[(0, "10.0.1.0/24", "anycast", [10.0, 20.0])],
     )
-    save_dataset(smaller, path, columnar=False)
+    stale = str(tmp_path / "stale.cols")
+    os.replace(sidecar_path(path), stale)
+    save_dataset(smaller, path)
+    os.replace(stale, sidecar_path(path))
     assert load_sidecar(path) is None
 
     # load_dataset must serve the framed truth, not the stale cache.
-    framed = load_dataset(path, columnar=False)
+    framed = recover_dataset(path)[0]
     assert framed.digest() != small_dataset.digest()
     loaded = load_dataset(path)
     _assert_equal_datasets(loaded, framed)
@@ -136,7 +139,7 @@ def test_corrupt_sidecar_falls_back(small_dataset, tmp_path):
 def test_torn_tail_salvage_ignores_sidecar(small_dataset, tmp_path):
     path = str(tmp_path / "dataset.json")
     save_dataset(small_dataset, path)
-    intact = load_dataset(path, columnar=False)
+    intact = recover_dataset(path)[0]
 
     size = os.path.getsize(path)
     with open(path, "r+b") as handle:
@@ -222,8 +225,8 @@ def test_columnar_transport_round_trip_property(samples, threshold):
         request_diffs=dataset.request_diffs,
         passive=dataset.passive,
     )
-    payload = encode_shard_payload(dataset, None, None, None)
-    decoded, _, _, _ = decode_shard_payload(payload, clients)
+    payload = encode_shard_payload(dataset, None, None)
+    decoded, _, _ = decode_shard_payload(payload, clients)
     after = decoded.ecs_aggregates
     assert after.days == before.days
     for day in before.days:

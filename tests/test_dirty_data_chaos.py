@@ -23,10 +23,12 @@ from repro.faults import (
     FaultSpec,
     RecordFaultInjector,
 )
+from repro.measurement.validate import QuarantineLog
 from repro.simulation.campaign import CampaignConfig, CampaignRunner
 from repro.simulation.clock import SimulationCalendar
 from repro.simulation.parallel import ParallelCampaignRunner
 from repro.simulation.scenario import Scenario, ScenarioConfig
+from repro.simulation.transport import decode_shard_payload
 
 pytestmark = pytest.mark.chaos
 
@@ -263,18 +265,18 @@ class TestCheckpointQuarantineResume:
         )
         first.run()
 
-        manifest_path = os.path.join(
-            checkpoint_dir, "shard-0000.manifest.json"
-        )
-        manifest = json.load(open(manifest_path))
-        if first.quarantine.total:
-            assert "quarantine" in manifest or json.load(
-                open(
-                    os.path.join(
-                        checkpoint_dir, "shard-0001.manifest.json"
-                    )
+        # Each shard's quarantine log rides inside its checkpoint's
+        # transport payload (after the one-line envelope header).
+        spilled = QuarantineLog()
+        for name in sorted(os.listdir(checkpoint_dir)):
+            with open(os.path.join(checkpoint_dir, name), "rb") as handle:
+                handle.readline()
+                _, _, quarantine = decode_shard_payload(
+                    handle.read(), dirty_scenario.clients
                 )
-            ).get("quarantine")
+            spilled.merge(quarantine)
+        assert first.quarantine.total > 0
+        assert spilled.digest() == first.quarantine.digest()
 
         resumed = ParallelCampaignRunner(
             dirty_scenario,

@@ -1,18 +1,12 @@
-"""Tests for ECS scopes and the scoped resolver cache."""
+"""Tests for RFC 7871 ECS scopes on authoritative DNS answers."""
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.dns.authoritative import (
-    ANYCAST_TARGET,
     AnycastPolicy,
     AuthoritativeServer,
     DnsQuery,
-    DnsResponse,
     StaticMappingPolicy,
 )
 from repro.dns.ecs import EcsOption
-from repro.dns.scoped_cache import EcsResolver, ScopedDnsCache
 from repro.net.ip import IPv4Address
 
 
@@ -48,84 +42,3 @@ class TestAuthoritativeScopes:
         )
         assert server.resolve(query).ecs_scope_len == 0
 
-
-class TestScopedCache:
-    def test_scope0_shared_across_clients(self):
-        cache = ScopedDnsCache()
-        response = DnsResponse("anycast", ttl_seconds=60.0, ecs_scope_len=0)
-        cache.put("h", response, addr("10.0.0.1"), now=0.0)
-        assert cache.get("h", addr("192.168.9.9"), now=1.0) == "anycast"
-
-    def test_scoped_entry_limited_to_subnet(self):
-        cache = ScopedDnsCache()
-        response = DnsResponse("fe-nyc", ttl_seconds=60.0, ecs_scope_len=24)
-        cache.put("h", response, addr("10.0.0.1"), now=0.0)
-        assert cache.get("h", addr("10.0.0.200"), now=1.0) == "fe-nyc"
-        assert cache.get("h", addr("10.0.1.1"), now=1.0) is None
-
-    def test_scoped_takes_precedence_over_shared(self):
-        cache = ScopedDnsCache()
-        cache.put("h", DnsResponse("anycast", 60.0, 0), addr("10.0.0.1"), 0.0)
-        cache.put("h", DnsResponse("fe-nyc", 60.0, 24), addr("10.0.0.1"), 0.0)
-        assert cache.get("h", addr("10.0.0.5"), 1.0) == "fe-nyc"
-        assert cache.get("h", addr("10.0.9.5"), 1.0) == "anycast"
-
-    def test_expiry(self):
-        cache = ScopedDnsCache()
-        cache.put("h", DnsResponse("fe-nyc", 10.0, 24), addr("10.0.0.1"), 0.0)
-        assert cache.get("h", addr("10.0.0.1"), 11.0) is None
-
-    def test_same_scope_replaced(self):
-        cache = ScopedDnsCache()
-        cache.put("h", DnsResponse("fe-old", 60.0, 24), addr("10.0.0.1"), 0.0)
-        cache.put("h", DnsResponse("fe-new", 60.0, 24), addr("10.0.0.1"), 1.0)
-        assert cache.entry_count("h") == 1
-        assert cache.get("h", addr("10.0.0.1"), 2.0) == "fe-new"
-
-    def test_stats(self):
-        cache = ScopedDnsCache()
-        cache.get("h", addr("10.0.0.1"), 0.0)
-        cache.put("h", DnsResponse("t", 60.0, 0), addr("10.0.0.1"), 0.0)
-        cache.get("h", addr("10.0.0.1"), 1.0)
-        assert cache.stats == (1, 1)
-
-    def test_bad_ttl_rejected(self):
-        cache = ScopedDnsCache()
-        with pytest.raises(ConfigurationError):
-            cache.put("h", DnsResponse("t", 0.0, 0), addr("10.0.0.1"), 0.0)
-
-
-class TestEcsResolver:
-    def test_per_prefix_answers_through_one_resolver(self):
-        """Two clients of the same LDNS in different /24s get their own
-        answers — the whole point of ECS (§2)."""
-        policy = StaticMappingPolicy(
-            ecs_mapping={"10.0.0.0/24": "fe-nyc", "10.0.1.0/24": "fe-lon"}
-        )
-        server = AuthoritativeServer(policy)
-        resolver = EcsResolver("ldns-1", server)
-        assert resolver.resolve("h", addr("10.0.0.5")) == "fe-nyc"
-        assert resolver.resolve("h", addr("10.0.1.5")) == "fe-lon"
-        assert resolver.resolve("h", addr("10.0.2.5")) == ANYCAST_TARGET
-
-    def test_cache_prevents_repeat_queries(self):
-        policy = StaticMappingPolicy(ecs_mapping={"10.0.0.0/24": "fe-nyc"})
-        server = AuthoritativeServer(policy)
-        resolver = EcsResolver("ldns-1", server)
-        resolver.resolve("h", addr("10.0.0.5"), now=0.0)
-        resolver.resolve("h", addr("10.0.0.9"), now=1.0)  # same /24 -> hit
-        assert len(server.query_log()) == 1
-
-    def test_scope0_answer_shared_across_prefixes(self):
-        server = AuthoritativeServer(AnycastPolicy())
-        resolver = EcsResolver("ldns-1", server)
-        resolver.resolve("h", addr("10.0.0.5"), now=0.0)
-        resolver.resolve("h", addr("172.16.0.1"), now=1.0)
-        # The anycast answer carries scope 0, so one upstream query serves
-        # every client of the resolver.
-        assert len(server.query_log()) == 1
-
-    def test_bad_source_length(self):
-        server = AuthoritativeServer(AnycastPolicy())
-        with pytest.raises(ConfigurationError):
-            EcsResolver("ldns-1", server, source_prefix_length=0)

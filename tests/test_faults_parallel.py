@@ -13,7 +13,11 @@ import os
 
 import pytest
 
-from repro.errors import ConfigurationError, ShardFailureError
+from repro.errors import (
+    CheckpointError,
+    ConfigurationError,
+    ShardFailureError,
+)
 from repro.clients.population import ClientPopulationConfig
 from repro.faults import (
     DEFAULT_HANG_SECONDS,
@@ -25,15 +29,17 @@ from repro.faults import (
     WorkerFaultInjector,
     corrupt_payload,
 )
+from repro.measurement import storage
 from repro.simulation.campaign import CampaignConfig, CampaignRunner
 from repro.simulation.checkpoint import (
     load_shard_checkpoint,
-    shard_payload_path,
+    shard_checkpoint_path,
     write_shard_checkpoint,
 )
 from repro.simulation.clock import SimulationCalendar
 from repro.simulation.parallel import ParallelCampaignRunner
 from repro.simulation.scenario import Scenario, ScenarioConfig
+from repro.simulation.transport import encode_shard_payload
 from repro.telemetry import build_run_manifest
 
 pytestmark = pytest.mark.chaos
@@ -57,6 +63,26 @@ def chaos_scenario(chaos_config) -> Scenario:
 def clean_digest(chaos_scenario) -> str:
     """Digest of the fault-free serial run — the golden fingerprint."""
     return CampaignRunner(chaos_scenario).run().digest()
+
+
+def _shard_payload(scenario, client_range):
+    """One shard's transport bytes and dataset digest, as a worker
+    would ship them."""
+    runner = CampaignRunner(scenario, client_slice=client_range)
+    dataset = runner.run()
+    payload = encode_shard_payload(
+        dataset, runner.telemetry.snapshot(), runner.quarantine
+    )
+    return payload, dataset.digest()
+
+
+def _read_spill(directory, shard_index):
+    """A shard checkpoint's envelope header and payload, unverified."""
+    with open(shard_checkpoint_path(directory, shard_index), "rb") as handle:
+        header = storage._parse_frame(
+            handle.readline().decode("ascii").rstrip("\n")
+        )
+        return header, handle.read()
 
 
 def _chaos_campaign(spec: str, **overrides) -> CampaignConfig:
@@ -316,7 +342,10 @@ class TestCheckpointResume:
             workers=2,
         )
         assert first.run().is_partial
-        assert os.path.exists(os.path.join(checkpoint_dir, "shard-0000.json"))
+        # One file per completed shard: no sidecar, no manifest.
+        assert os.listdir(checkpoint_dir) == [
+            os.path.basename(shard_checkpoint_path(checkpoint_dir, 0))
+        ]
 
         second = ParallelCampaignRunner(
             chaos_scenario,
@@ -340,7 +369,7 @@ class TestCheckpointResume:
         )
         assert seeded.run().digest() == clean_digest
 
-        payload = shard_payload_path(checkpoint_dir, 0)
+        payload = shard_checkpoint_path(checkpoint_dir, 0)
         with open(payload, "r+b") as handle:
             handle.seek(10)
             handle.write(b"\xff\xff\xff")
@@ -359,37 +388,113 @@ class TestCheckpointResume:
         self, chaos_scenario, tmp_path
     ):
         directory = str(tmp_path)
-        dataset = CampaignRunner(
-            chaos_scenario, client_slice=(0, 20)
-        ).run()
+        payload, digest = _shard_payload(chaos_scenario, (0, 20))
         write_shard_checkpoint(
-            directory, 0, (0, 20), dataset, seed=23, config_hash="abc"
+            directory, 0, (0, 20), payload, digest,
+            seed=23, config_hash="abc",
         )
-        assert (
-            load_shard_checkpoint(
-                directory, 0, (0, 20), seed=23, config_hash="abc"
-            )
-            is not None
+        clients = chaos_scenario.clients
+        loaded = load_shard_checkpoint(
+            directory, 0, (0, 20), seed=23, config_hash="abc",
+            clients=clients,
         )
+        assert loaded is not None
+        assert loaded[0].digest() == digest
         # Different config hash, seed, or range: "not mine", never loaded.
         assert (
             load_shard_checkpoint(
-                directory, 0, (0, 20), seed=23, config_hash="zzz"
+                directory, 0, (0, 20), seed=23, config_hash="zzz",
+                clients=clients,
             )
             is None
         )
         assert (
             load_shard_checkpoint(
-                directory, 0, (0, 20), seed=24, config_hash="abc"
+                directory, 0, (0, 20), seed=24, config_hash="abc",
+                clients=clients,
             )
             is None
         )
         assert (
             load_shard_checkpoint(
-                directory, 0, (0, 21), seed=23, config_hash="abc"
+                directory, 0, (0, 21), seed=23, config_hash="abc",
+                clients=clients,
             )
             is None
         )
+
+    def test_wrong_digest_anchor_is_rejected_and_rerun(
+        self, chaos_scenario, clean_digest, tmp_path
+    ):
+        checkpoint_dir = str(tmp_path / "ckpt")
+        seeded = ParallelCampaignRunner(
+            chaos_scenario,
+            CampaignConfig(checkpoint_dir=checkpoint_dir),
+            workers=2,
+        )
+        assert seeded.run().digest() == clean_digest
+        # Re-spill shard 0 with intact payload bytes (its hash checks
+        # out) but a dataset-digest anchor that does not match them.
+        header, payload = _read_spill(checkpoint_dir, 0)
+        client_range = tuple(header["identity"]["client_range"])
+        config_hash = header["identity"]["config_hash"]
+        write_shard_checkpoint(
+            checkpoint_dir, 0, client_range, payload, "0" * 64,
+            seed=23, config_hash=config_hash,
+        )
+        with pytest.raises(CheckpointError, match="dataset digest"):
+            load_shard_checkpoint(
+                checkpoint_dir, 0, client_range, seed=23,
+                config_hash=config_hash, clients=chaos_scenario.clients,
+            )
+
+        resumed = ParallelCampaignRunner(
+            chaos_scenario,
+            CampaignConfig(checkpoint_dir=checkpoint_dir, resume=True),
+            workers=2,
+        )
+        assert resumed.run().digest() == clean_digest
+        counters = resumed.telemetry.snapshot().counters
+        assert counters["checkpoint.invalid_total"] == 1
+        assert counters["checkpoint.loaded_total"] == 1
+        assert counters["checkpoint.saved_total"] == 1  # shard 0 re-ran
+
+    def test_other_version_or_old_layout_reads_as_absent(
+        self, chaos_scenario, clean_digest, tmp_path, monkeypatch
+    ):
+        checkpoint_dir = str(tmp_path / "ckpt")
+        seeded = ParallelCampaignRunner(
+            chaos_scenario,
+            CampaignConfig(checkpoint_dir=checkpoint_dir),
+            workers=2,
+        )
+        assert seeded.run().digest() == clean_digest
+        # Shard 0: an envelope of another format version.  Shard 1: only
+        # the file names the retired layout used (a framed export plus a
+        # JSON manifest per shard).
+        header, payload = _read_spill(checkpoint_dir, 0)
+        monkeypatch.setattr(storage, "CHECKPOINT_FORMAT_VERSION", 1)
+        write_shard_checkpoint(
+            checkpoint_dir, 0, tuple(header["identity"]["client_range"]),
+            payload, header["anchors"]["dataset_digest"],
+            seed=23, config_hash=header["identity"]["config_hash"],
+        )
+        monkeypatch.undo()
+        os.remove(shard_checkpoint_path(checkpoint_dir, 1))
+        for name in ("shard-0001.json", "shard-0001.manifest.json"):
+            with open(os.path.join(checkpoint_dir, name), "w") as handle:
+                handle.write("{}\n")
+
+        resumed = ParallelCampaignRunner(
+            chaos_scenario,
+            CampaignConfig(checkpoint_dir=checkpoint_dir, resume=True),
+            workers=2,
+        )
+        assert resumed.run().digest() == clean_digest
+        counters = resumed.telemetry.snapshot().counters
+        assert counters.get("checkpoint.invalid_total", 0) == 0
+        assert counters.get("checkpoint.loaded_total", 0) == 0
+        assert counters["checkpoint.saved_total"] == 2  # both re-ran
 
     def test_resume_requires_checkpoint_dir(self):
         with pytest.raises(ConfigurationError):

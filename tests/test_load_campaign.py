@@ -20,9 +20,8 @@ from repro.errors import AnalysisError, ConfigurationError
 from repro.clients.population import ClientPopulationConfig
 from repro.faults import FaultPlan
 from repro.measurement.export import (
-    dataset_from_json,
-    dataset_to_json,
     load_dataset,
+    recover_dataset,
     save_dataset,
 )
 from repro.simulation.campaign import CampaignConfig, CampaignRunner
@@ -238,11 +237,9 @@ class TestTelemetryAndPersistence:
         restored = load_dataset(path)
         assert restored.load_summary == fastroute_dataset.load_summary
         assert restored.digest() == fastroute_dataset.digest()
-
-    def test_legacy_json_round_trips_load_summary(self, fastroute_dataset):
-        document = dataset_to_json(fastroute_dataset)
-        restored = dataset_from_json(document)
-        assert restored.load_summary == fastroute_dataset.load_summary
+        # The framed header carries it too, not only the sidecar.
+        framed = recover_dataset(path)[0]
+        assert framed.load_summary == fastroute_dataset.load_summary
 
     def test_analyze_figures_render(self, fastroute_dataset):
         tradeoff = load_latency_tradeoff(fastroute_dataset).format()

@@ -8,16 +8,23 @@ from repro.errors import MeasurementError
 from repro.analysis.poor_paths import poor_path_prevalence
 from repro.analysis.prediction_eval import evaluate_prediction
 from repro.measurement.export import (
-    dataset_from_json,
-    dataset_to_json,
+    _dataset_frames,
     load_dataset,
     save_dataset,
 )
+from repro.measurement.storage import write_segment_file
+
+
+def _framed_stream(frames):
+    buffer = io.StringIO()
+    write_segment_file(buffer, frames)
+    buffer.seek(0)
+    return buffer
 
 
 @pytest.fixture(scope="module")
 def round_tripped(small_dataset):
-    return dataset_from_json(dataset_to_json(small_dataset))
+    return load_dataset(_framed_stream(_dataset_frames(small_dataset)))
 
 
 def test_counts_preserved(small_dataset, round_tripped):
@@ -89,17 +96,38 @@ def test_stream_round_trip(small_dataset):
 
 
 def test_unknown_version_rejected(small_dataset):
-    document = dataset_to_json(small_dataset)
-    document["format_version"] = 99
-    with pytest.raises(MeasurementError, match="format version"):
-        dataset_from_json(document)
+    # Version 2 is the retired framed layout; only the current one loads.
+    for version in (2, 99):
+        frames = list(_dataset_frames(small_dataset))
+        frames[0]["format_version"] = version
+        with pytest.raises(
+            MeasurementError, match=f"format version {version}"
+        ):
+            load_dataset(_framed_stream(frames))
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["sketch", "diffs_bounded", "diffs_accuracy", "diffs_max_buckets",
+     "passive_bounded", "load_summary"],
+)
+def test_header_fields_are_required(small_dataset, field):
+    frames = list(_dataset_frames(small_dataset))
+    del frames[0][field]
+    with pytest.raises(
+        MeasurementError, match=f"malformed dataset export.*{field}"
+    ):
+        load_dataset(_framed_stream(frames))
 
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.measurement.aggregate import GroupedDailyAggregates
-from repro.measurement.export import _aggregates_from_obj, _aggregates_to_obj
+from repro.measurement.export import (
+    _aggregate_day_rows,
+    _apply_aggregate_rows,
+)
 
 
 @given(
@@ -118,7 +146,9 @@ def test_aggregate_serialization_round_trip_property(samples):
     before = GroupedDailyAggregates("ecs")
     for day, group, target, rtt in samples:
         before.observe(day, group, target, rtt)
-    after = _aggregates_from_obj(_aggregates_to_obj(before))
+    after = GroupedDailyAggregates("ecs")
+    for day in before.days:
+        _apply_aggregate_rows(after, day, _aggregate_day_rows(before, day))
     assert after.days == before.days
     for day in before.days:
         before_rows = sorted(

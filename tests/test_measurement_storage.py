@@ -12,18 +12,21 @@ import os
 
 import pytest
 
-from repro.errors import MeasurementError, StorageError
+from repro.errors import CheckpointError, MeasurementError, StorageError
 from repro.measurement.export import (
     load_dataset,
     recover_dataset,
     save_dataset,
 )
+from repro.measurement import storage
 from repro.measurement.storage import (
     atomic_write_text,
     footer_frame,
     format_frame,
+    read_checkpoint,
     read_segment_file,
     read_segment_text,
+    write_checkpoint,
     write_segment_file,
 )
 
@@ -77,6 +80,74 @@ class TestFraming:
         with open(path) as handle:
             assert handle.read() == "{}\n"
         assert os.listdir(tmp_path) == ["note.json"]
+
+
+class TestCheckpointEnvelope:
+    IDENTITY = {"shard_index": 0, "client_range": [0, 20], "seed": 7}
+
+    def _write(self, tmp_path, payload=b"payload bytes \x00\xff"):
+        path = str(tmp_path / "unit.ckpt")
+        write_checkpoint(
+            path, "unit", self.IDENTITY, payload, anchors={"digest": "d1"}
+        )
+        return path
+
+    def _flip(self, path, offset):
+        with open(path, "r+b") as handle:
+            handle.seek(offset)
+            byte = handle.read(1)
+            handle.seek(offset)
+            handle.write(bytes([byte[0] ^ 0x01]))
+
+    def test_round_trip(self, tmp_path):
+        path = self._write(tmp_path)
+        header, payload = read_checkpoint(path, "unit", self.IDENTITY)
+        assert payload == b"payload bytes \x00\xff"
+        assert header["anchors"] == {"digest": "d1"}
+        assert header["payload_bytes"] == len(payload)
+        assert os.listdir(tmp_path) == ["unit.ckpt"]
+
+    def test_absent_reads_as_none(self, tmp_path):
+        assert (
+            read_checkpoint(str(tmp_path / "no.ckpt"), "unit", self.IDENTITY)
+            is None
+        )
+
+    def test_other_owner_reads_as_none_before_hashing(self, tmp_path):
+        path = self._write(tmp_path)
+        # Damage the payload: the owner check must still answer "not
+        # mine" from the header alone, never "corrupt".
+        self._flip(path, os.path.getsize(path) - 1)
+        other = dict(self.IDENTITY, seed=8)
+        assert read_checkpoint(path, "unit", other) is None
+        assert read_checkpoint(path, "other-kind", self.IDENTITY) is None
+        with pytest.raises(CheckpointError):
+            read_checkpoint(path, "unit", self.IDENTITY)
+
+    def test_other_format_version_reads_as_none(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(storage, "CHECKPOINT_FORMAT_VERSION", 1)
+        path = self._write(tmp_path)
+        monkeypatch.undo()
+        assert read_checkpoint(path, "unit", self.IDENTITY) is None
+
+    def test_payload_bit_flip_is_a_hash_mismatch(self, tmp_path):
+        path = self._write(tmp_path)
+        self._flip(path, os.path.getsize(path) - 3)
+        with pytest.raises(CheckpointError, match="hash mismatch"):
+            read_checkpoint(path, "unit", self.IDENTITY)
+
+    def test_truncated_payload_is_a_length_mismatch(self, tmp_path):
+        path = self._write(tmp_path)
+        with open(path, "r+b") as handle:
+            handle.truncate(os.path.getsize(path) - 2)
+        with pytest.raises(CheckpointError, match="length mismatch"):
+            read_checkpoint(path, "unit", self.IDENTITY)
+
+    def test_damaged_header_is_corruption(self, tmp_path):
+        path = self._write(tmp_path)
+        self._flip(path, 20)
+        with pytest.raises(CheckpointError, match="damaged checkpoint header"):
+            read_checkpoint(path, "unit", self.IDENTITY)
 
 
 class TestDamage:
@@ -219,32 +290,34 @@ class TestDatasetRecovery:
         with pytest.raises(StorageError, match="unrecoverable"):
             recover_dataset(path)
 
-    def test_legacy_json_still_loads_but_cannot_recover(
-        self, dataset, tmp_path
-    ):
-        import json
-
-        from repro.measurement.export import dataset_to_json
-
-        path = str(tmp_path / "legacy.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(dataset_to_json(dataset), handle)
-        assert load_dataset(path).digest() == dataset.digest()
-        with pytest.raises(MeasurementError, match="no frame structure"):
-            recover_dataset(path)
+    def test_unframed_input_is_not_a_framed_export(self, tmp_path):
+        # A JSON document (the retired single-document layout) or an
+        # empty file has no frame structure: load and salvage both fail
+        # with one clear error instead of a torn-tail or footer message.
+        for name, text in (("document.json", '{"format_version": 1}\n'),
+                           ("empty.json", "")):
+            path = str(tmp_path / name)
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+            for reader in (load_dataset, recover_dataset):
+                with pytest.raises(
+                    MeasurementError, match="not a framed dataset export"
+                ):
+                    reader(path)
 
     def test_missing_format_version_is_a_clear_error(self, dataset):
-        from repro.measurement.export import (
-            dataset_from_json,
-            dataset_to_json,
-        )
+        from repro.measurement.export import _dataset_frames
 
-        obj = dataset_to_json(dataset)
-        del obj["format_version"]
+        frames = list(_dataset_frames(dataset))
+        del frames[0]["format_version"]
+        buffer = io.StringIO()
+        write_segment_file(buffer, frames)
         with pytest.raises(MeasurementError, match="no format version"):
-            dataset_from_json(obj)
-        obj["format_version"] = 999
+            load_dataset(io.StringIO(buffer.getvalue()))
+        frames[0]["format_version"] = 999
+        buffer = io.StringIO()
+        write_segment_file(buffer, frames)
         with pytest.raises(
             MeasurementError, match="unsupported dataset format version"
         ):
-            dataset_from_json(obj)
+            load_dataset(io.StringIO(buffer.getvalue()))

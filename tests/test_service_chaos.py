@@ -13,15 +13,18 @@ faults so the quarantine digest is a meaningful part of the identity.
 
 import dataclasses
 import json
+import os
 
 import pytest
 
 from repro import cli
 from repro.clients.population import ClientPopulationConfig
+from repro.errors import CheckpointError
 from repro.faults.inject import InjectedCrashError
 from repro.faults.plan import FaultPlan
 from repro.measurement.export import save_dataset
 from repro.service import LiveService, dirty_events, events_from_dataset
+from repro.service.checkpoint import service_checkpoint_path
 from repro.service.ingest import ServiceConfig
 from repro.simulation.campaign import CampaignRunner
 from repro.simulation.clock import SimulationCalendar
@@ -77,6 +80,16 @@ def baseline(chaos_dataset, dirty_stream):
     result = service.run_stream(list(dirty_stream))
     assert result.quarantine_summary["dropped"] > 0
     return result
+
+
+def flip_last_payload_byte(directory):
+    """Damage the service checkpoint's payload (not its header)."""
+    path = service_checkpoint_path(str(directory))
+    with open(path, "r+b") as handle:
+        handle.seek(os.path.getsize(path) - 2)
+        byte = handle.read(1)
+        handle.seek(-1, os.SEEK_CUR)
+        handle.write(bytes([byte[0] ^ 0x01]))
 
 
 def assert_bit_identical(result, baseline):
@@ -195,6 +208,26 @@ class TestCrashResume:
         assert result.resumed_from_cursor == 0
 
 
+    def test_tampered_checkpoint_fails_resume(
+        self, chaos_dataset, dirty_stream, tmp_path
+    ):
+        config = self.make_config(CRASH_PLAN, tmp_path)
+        with pytest.raises(InjectedCrashError):
+            LiveService(
+                config,
+                num_days=NUM_DAYS,
+                source_fingerprint=chaos_dataset.digest(),
+            ).run_stream(list(dirty_stream))
+        flip_last_payload_byte(config.checkpoint_dir)
+        service = LiveService(
+            dataclasses.replace(config, resume=True),
+            num_days=NUM_DAYS,
+            source_fingerprint=chaos_dataset.digest(),
+        )
+        with pytest.raises(CheckpointError, match="hash mismatch"):
+            service.run_stream(list(dirty_stream))
+
+
 class TestCliChaosParity:
     def test_cli_crash_exit_code_then_resume_matches_baseline(
         self, chaos_dataset, tmp_path
@@ -247,3 +280,26 @@ class TestCliChaosParity:
         assert resumed_doc["digests"] == reference_doc["digests"]
         assert resumed_doc["attempt"] == 1
         assert resumed_doc["quarantine"]["dropped"] > 0
+
+    def test_cli_tampered_checkpoint_exits_2(
+        self, chaos_dataset, tmp_path, capsys
+    ):
+        dataset_path = tmp_path / "campaign.json"
+        ckpt = tmp_path / "ckpt"
+        save_dataset(chaos_dataset, str(dataset_path))
+        common = [
+            "replay", str(dataset_path),
+            "--seed", str(SEED),
+            "--fault-plan", CRASH_PLAN,
+        ]
+        code = cli.main(common + ["--checkpoint-dir", str(ckpt)])
+        assert code == cli.EXIT_SERVICE_CRASHED
+        flip_last_payload_byte(ckpt)
+        capsys.readouterr()
+
+        code = cli.main(common + ["--resume-from", str(ckpt)])
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ")
+        assert "hash mismatch" in lines[0]

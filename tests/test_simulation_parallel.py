@@ -253,9 +253,20 @@ class TestParallelRunner:
         runner = ParallelCampaignRunner(tiny_scenario, workers=2)
         parallel = runner.run()
         assert parallel.digest() == tiny_dataset.digest()
-        assert runner.stats is not None
-        assert runner.stats.workers == 2
-        assert runner.stats.beacon_count == tiny_dataset.beacon_count
+        stats = runner.stats
+        assert stats is not None
+        assert stats.workers == 2
+        assert stats.beacon_count == tiny_dataset.beacon_count
+        # The stats come from the coordinator's merged telemetry: the
+        # shards' counters and per-day spans, the coordinator's wall time.
+        assert stats.measurement_count == tiny_dataset.measurement_count
+        assert len(stats.day_seconds) == tiny_scenario.calendar.num_days
+        assert stats.wall_seconds == pytest.approx(
+            runner.telemetry.snapshot().gauges["campaign.wall_seconds"][
+                "value"
+            ]
+        )
+        assert stats.wall_seconds > 0
         # Merged dataset is re-homed on the coordinator's client objects.
         assert parallel.clients is tiny_scenario.clients
 
@@ -342,21 +353,6 @@ class TestCampaignStats:
         assert 0.0 < cache.anycast_hit_rate <= 1.0
         assert 0.0 < cache.unicast_hit_rate <= 1.0
         assert "beacons" in stats.format()
-
-    def test_stats_merge(self):
-        a = CampaignStats(
-            wall_seconds=2.0, beacon_count=10, measurement_count=40,
-            day_seconds=[1.0, 1.0],
-        )
-        b = CampaignStats(
-            wall_seconds=3.0, beacon_count=5, measurement_count=20,
-            day_seconds=[0.5, 0.5, 0.5],
-        )
-        a.merge(b)
-        assert a.wall_seconds == 3.0
-        assert a.beacon_count == 15
-        assert a.measurement_count == 60
-        assert a.day_seconds == [1.5, 1.5, 0.5]
 
     def test_empty_stats_rates_are_zero(self):
         stats = CampaignStats()

@@ -290,17 +290,17 @@ def test_bounded_dataset_torn_tail_salvage(bounded_dataset, tmp_path):
 
 
 def test_bounded_dataset_transport_round_trip(bounded_dataset):
-    payload = encode_shard_payload(bounded_dataset, None, None, None)
-    restored, stats, snapshot, quarantine = decode_shard_payload(
+    payload = encode_shard_payload(bounded_dataset, None, None)
+    restored, snapshot, quarantine = decode_shard_payload(
         payload, bounded_dataset.clients
     )
     assert restored.digest() == bounded_dataset.digest()
     assert restored.request_diffs.is_bounded
-    assert stats is None and snapshot is None and quarantine is None
+    assert snapshot is None and quarantine is None
 
 
 def test_transport_rejects_structural_damage(bounded_dataset):
-    payload = encode_shard_payload(bounded_dataset, None, None, None)
+    payload = encode_shard_payload(bounded_dataset, None, None)
     not_columnar = b"X" * len(MAGIC) + payload[len(MAGIC):]
     with pytest.raises(MeasurementError):
         decode_shard_payload(not_columnar, bounded_dataset.clients)

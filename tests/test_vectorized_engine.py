@@ -21,7 +21,6 @@ from repro.errors import AnalysisError, ConfigurationError, MeasurementError
 from repro.analysis.anycast_perf import anycast_penalty_ccdf
 from repro.analysis.poor_paths import poor_path_prevalence
 from repro.clients.population import ClientPopulationConfig
-from repro.latency.model import LatencyConfig, LatencyModel
 from repro.latency.sampling import percentile
 from repro.measurement.aggregate import (
     GroupedDailyAggregates,
@@ -29,7 +28,6 @@ from repro.measurement.aggregate import (
     RequestDiffLog,
 )
 from repro.measurement.backend import BeaconBackend, JoinedBatch, JoinedSegment
-from repro.measurement.beacon import BeaconConfig, BeaconTargetSelector
 from repro.simulation.campaign import CampaignConfig, CampaignRunner
 from repro.simulation.clock import SimulationCalendar
 from repro.simulation.parallel import ParallelCampaignRunner
@@ -392,92 +390,3 @@ class TestBulkSinks:
         assert rows[0].frontend_id == "fe-a"
         assert rows[2].ldns_id == "ldns-1"
 
-
-class TestBatchedSamplers:
-    def test_jitter_batch_matches_scalar_distribution(self):
-        import random
-
-        model = LatencyModel()
-        gen = np.random.default_rng(11)
-        batch = model.sample_jitter_batch_ms(gen, 20_000)
-        rng = random.Random(11)
-        scalar = [model.sample_jitter_ms(rng) for _ in range(20_000)]
-        assert batch.shape == (20_000,)
-        assert float(batch.min()) >= 0.0
-        assert ks_statistic(batch, scalar) < 0.02
-
-    def test_jitter_batch_shape_and_zero_median(self):
-        model = LatencyModel(
-            LatencyConfig(jitter_median_ms=0.0, spike_probability=0.0)
-        )
-        batch = model.sample_jitter_batch_ms(
-            np.random.default_rng(0), (4, 3)
-        )
-        assert batch.shape == (4, 3)
-        assert not batch.any()
-
-    def test_daily_variation_batch_rate_matches_probability(self):
-        model = LatencyModel()
-        gen = np.random.default_rng(3)
-        draws = model.sample_daily_variation_batch_ms(gen, 50_000)
-        rate = float((draws > 0).mean())
-        assert rate == pytest.approx(
-            model.config.daily_variation_probability, abs=0.01
-        )
-        anycast = model.sample_daily_variation_batch_ms(
-            gen, 50_000, anycast=True
-        )
-        assert float((anycast > 0).mean()) == pytest.approx(
-            model.config.anycast_daily_variation_probability, abs=0.01
-        )
-
-    def test_daily_variation_batch_disabled_is_zero(self):
-        model = LatencyModel(
-            LatencyConfig(daily_variation_probability=0.0)
-        )
-        draws = model.sample_daily_variation_batch_ms(
-            np.random.default_rng(0), 10
-        )
-        assert not draws.any()
-        assert model.sample_daily_variation_batch_ms(
-            np.random.default_rng(0), 0
-        ).shape == (0,)
-
-    def test_pick_indices_rows_are_distinct_and_in_range(
-        self, engine_scenario
-    ):
-        selector = BeaconTargetSelector(
-            engine_scenario.network.frontends,
-            engine_scenario.geolocation,
-            BeaconConfig(),
-        )
-        ldns_id = engine_scenario.clients[0].ldns_id
-        pool = selector.pick_pool(ldns_id)
-        picks = selector.sample_pick_indices(
-            ldns_id, np.random.default_rng(5), 200
-        )
-        assert picks.shape[0] == 200
-        assert picks.shape[1] <= len(pool)
-        assert picks.min() >= 0
-        assert picks.max() < len(pool)
-        for row in picks:
-            assert len(set(row.tolist())) == len(row)
-
-    def test_pick_indices_weighting_prefers_near_targets(
-        self, engine_scenario
-    ):
-        # Rank-weighted sampling without replacement: the pool is ordered
-        # by proximity, so nearer pool slots must be picked more often.
-        selector = BeaconTargetSelector(
-            engine_scenario.network.frontends,
-            engine_scenario.geolocation,
-            BeaconConfig(),
-        )
-        ldns_id = engine_scenario.clients[0].ldns_id
-        picks = selector.sample_pick_indices(
-            ldns_id, np.random.default_rng(9), 4000
-        )
-        counts = np.bincount(
-            picks.ravel(), minlength=len(selector.pick_pool(ldns_id))
-        )
-        assert counts[0] > counts[-1]
