@@ -342,28 +342,29 @@ def _configure_telemetry(args: argparse.Namespace, config: ScenarioConfig) -> No
     )
 
 
-def _export_telemetry(args: argparse.Namespace, study: AnycastStudy) -> None:
-    """Write the study's telemetry snapshot if ``--telemetry-out`` was given."""
-    if not args.telemetry_out:
-        return
-    snapshot = study.telemetry_snapshot()
+def _export_telemetry(
+    args: argparse.Namespace, snapshot: TelemetrySnapshot
+) -> None:
+    """Write the run's telemetry snapshot if ``--telemetry-out`` was given."""
     path = args.telemetry_out
+    if not path:
+        return
     if path.endswith((".prom", ".txt")):
         content = snapshot.to_prometheus()
     else:
         content = snapshot.to_json()
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(content)
-        if not content.endswith("\n"):
-            handle.write("\n")
+    if not content.endswith("\n"):
+        content += "\n"
+    atomic_write_text(path, content)
     print(f"wrote telemetry snapshot to {path}")
 
 
-def _export_trace(args: argparse.Namespace, study: AnycastStudy) -> None:
+def _export_trace(
+    args: argparse.Namespace, snapshot: TelemetrySnapshot
+) -> None:
     """Write the run's trace timeline if ``--trace-out`` was given."""
-    if not getattr(args, "trace_out", None):
+    if not args.trace_out:
         return
-    snapshot = study.telemetry_snapshot()
     trace = snapshot.trace
     if trace is None or not trace.events:
         print("no trace events recorded; skipping --trace-out", file=sys.stderr)
@@ -559,33 +560,8 @@ def _run_service(
             f"records) to {args.quarantine_out}"
         )
     snapshot = telemetry.snapshot()
-    if getattr(args, "telemetry_out", None):
-        path = args.telemetry_out
-        if path.endswith((".prom", ".txt")):
-            content = snapshot.to_prometheus()
-        else:
-            content = snapshot.to_json()
-        if not content.endswith("\n"):
-            content += "\n"
-        atomic_write_text(path, content)
-        print(f"wrote telemetry snapshot to {path}")
-    if getattr(args, "trace_out", None):
-        trace = snapshot.trace
-        if trace is None or not trace.events:
-            print(
-                "no trace events recorded; skipping --trace-out",
-                file=sys.stderr,
-            )
-        else:
-            atomic_write_text(
-                args.trace_out,
-                json.dumps(trace.to_perfetto_obj(), indent=2, sort_keys=True)
-                + "\n",
-            )
-            print(
-                f"wrote trace timeline ({len(trace.events)} events) to "
-                f"{args.trace_out}"
-            )
+    _export_telemetry(args, snapshot)
+    _export_trace(args, snapshot)
     return 0
 
 
@@ -616,12 +592,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
             fmt=args.log_format or "text",
             context=RunContext(seed=args.seed, engine="service"),
         )
-    try:
-        dataset = load_dataset(args.dataset)
-    except StorageError as error:
-        print(f"damaged dataset: {error}", file=sys.stderr)
-        return 2
-    return _run_service(args, dataset, "replay")
+    return _run_service(args, load_dataset(args.dataset), "replay")
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -643,8 +614,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     else:
         print(report)
     _export_quarantine(args, study)
-    _export_telemetry(args, study)
-    _export_trace(args, study)
+    snapshot = study.telemetry_snapshot()
+    _export_telemetry(args, snapshot)
+    _export_trace(args, snapshot)
     _append_history(args, study, "repro-report")
     return 0
 
@@ -677,8 +649,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"wrote run manifest to {manifest_path}")
     print(study.campaign_stats.format())
     _export_quarantine(args, study)
-    _export_telemetry(args, study)
-    _export_trace(args, study)
+    snapshot = study.telemetry_snapshot()
+    _export_telemetry(args, snapshot)
+    _export_trace(args, snapshot)
     _append_history(args, study, "repro-run")
     return 0
 
@@ -972,7 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--fault-plan", metavar="SPEC",
         help=(
             "inject deterministic faults into the service loop: "
-            "crash/exception specs kill or trip the consumer mid-stream; "
+            "crash/exception specs kill or trip the loop mid-stream; "
             "record-* specs dirty beacon values before the gate"
         ),
     )

@@ -13,8 +13,9 @@ simulated pipeline:
 * :mod:`repro.service.predictor` — the online predictor, delegating
   scoring to the batch :class:`repro.core.predictor.HistoryBasedPredictor`
   so online and batch answers are bit-identical over the same window;
-* :mod:`repro.service.ingest` — the asyncio ingestion loop (validation
-  gate, window updates, day-close prediction ticks, checkpoints);
+* :mod:`repro.service.ingest` — the ingestion loop, one synchronous
+  pass over the source (validation gate, window updates, day-close
+  prediction ticks, checkpoints);
 * :mod:`repro.service.replay` — deterministic event streams recovered
   from recorded exports (the differential-oracle harness's source);
 * :mod:`repro.service.checkpoint` — service state spill/restore with

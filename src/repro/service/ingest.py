@@ -5,12 +5,11 @@ process consuming beacon and passive-log events, funneling every record
 through the same :class:`~repro.measurement.validate.ValidationGate`
 the batch campaign uses, folding admitted beacons into the sliding
 :class:`~repro.service.window.PredictionWindow`, and re-evaluating the
-§6 prediction at every day close.  The loop is an asyncio
-producer/consumer pair over a bounded queue — the shape a socket- or
-log-tailing source would plug into — with the *processing* kept
-strictly deterministic: event order on the queue is the source order,
-every state change is a pure function of the admitted-event stream, and
-wall-clock only ever affects pacing and telemetry, never data.
+§6 prediction at every day close.  The §6 predictor acts only at day
+close, so nothing is decided between two events of one day: the loop is
+one synchronous pass over the source in source order.  Every state
+change is a pure function of the admitted-event stream, and wall-clock
+only ever affects pacing and telemetry, never data.
 
 Crash safety is checkpoint-and-replay: the loop periodically spills its
 whole state (cursor, window, quarantine, stream digest, closed-day
@@ -25,7 +24,6 @@ bit-identical to an uninterrupted one — the chaos-parity guarantee
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
 import time
 from contextlib import nullcontext
@@ -69,10 +67,6 @@ from repro.simulation.clock import SECONDS_PER_DAY
 from repro.telemetry import Telemetry, get_logger
 from repro.telemetry.trace import SERVICE_LANE
 
-#: Default bound of the ingestion queue (events in flight between the
-#: producer and the consumer).
-DEFAULT_QUEUE_SIZE = 256
-
 #: Service retry budget: how many injected transient failures the
 #: supervisor absorbs before giving up (crashes always propagate).
 MAX_SERVICE_RETRIES = 8
@@ -103,9 +97,10 @@ class ServiceConfig:
         fault_plan: Optional deterministic fault schedule; ``crash`` and
             ``exception`` kinds fire inside the loop.
         speed: Replay pacing, in simulated seconds per wall-clock second
-            (86_400 = one day per second; 0 = unpaced, as fast as the
-            consumer drains).
-        queue_size: Bound of the ingestion queue.
+            (86_400 = one day per second; 0 = unpaced).  A paced loop
+            sleeps ``SECONDS_PER_DAY * gap / speed`` before the first
+            event of each later day, where ``gap`` is how many days that
+            event lies past the previous event's day.
     """
 
     window_days: int = 1
@@ -120,7 +115,6 @@ class ServiceConfig:
     seed: int = 0
     fault_plan: Optional[FaultPlan] = None
     speed: float = 0.0
-    queue_size: int = DEFAULT_QUEUE_SIZE
 
     def __post_init__(self) -> None:
         ValidationPolicy.parse(self.validation)
@@ -130,8 +124,6 @@ class ServiceConfig:
             raise ConfigurationError("speed must be >= 0")
         if self.checkpoint_every_events < 0:
             raise ConfigurationError("checkpoint_every_events must be >= 0")
-        if self.queue_size < 1:
-            raise ConfigurationError("queue_size must be >= 1")
         if self.resume and self.checkpoint_dir is None:
             raise ConfigurationError(
                 "resume requires a checkpoint directory"
@@ -140,9 +132,9 @@ class ServiceConfig:
     def identity(self) -> Dict[str, Any]:
         """The semantic parameters a checkpoint must match to apply.
 
-        Deliberately excludes operational knobs (pacing, queue bound,
-        fault plan, the resume flag itself): two runs differing only in
-        those produce identical data, so their checkpoints interchange.
+        Deliberately excludes operational knobs (pacing, fault plan,
+        the resume flag itself): two runs differing only in those
+        produce identical data, so their checkpoints interchange.
         """
         return {
             "window_days": self.window_days,
@@ -211,7 +203,7 @@ class ServiceResult:
 
 
 class LiveService:
-    """The asyncio ingestion loop over one event stream.
+    """The ingestion loop over one event stream.
 
     Args:
         config: The run's knobs.
@@ -441,63 +433,24 @@ class LiveService:
         self._current_day = self.num_days
 
     # ------------------------------------------------------------------
-    # The asyncio loop
+    # The loop
     # ------------------------------------------------------------------
 
-    async def _run_attempt(
-        self, events: Sequence[StreamEvent]
-    ) -> None:
-        cfg = self.config
+    def _run_attempt(self, events: Sequence[StreamEvent]) -> None:
         self._attempt_setup()
-        queue: asyncio.Queue = asyncio.Queue(maxsize=cfg.queue_size)
-
-        async def produce() -> None:
-            span = (
-                self.telemetry.span("service.produce")
-                if self.telemetry is not None
-                else nullcontext()
-            )
-            with span:
-                last_day: Optional[int] = None
-                for cursor, event in enumerate(events):
-                    if (
-                        cfg.speed > 0
-                        and last_day is not None
-                        and event.day > last_day
-                    ):
-                        await asyncio.sleep(
-                            SECONDS_PER_DAY * (event.day - last_day) / cfg.speed
-                        )
-                    last_day = event.day
-                    await queue.put((cursor, event))
-                await queue.put(None)
-
-        async def consume() -> None:
-            span = (
-                self.telemetry.span("service.consume")
-                if self.telemetry is not None
-                else nullcontext()
-            )
-            with span:
-                while True:
-                    item = await queue.get()
-                    if item is None:
-                        break
-                    cursor, event = item
-                    self._step(cursor, event)
-                    # Yield so the producer interleaves even on an
-                    # unpaced replay — the loop is genuinely concurrent.
-                    await asyncio.sleep(0)
-
-        producer = asyncio.create_task(produce())
-        consumer = asyncio.create_task(consume())
-        try:
-            await asyncio.gather(producer, consumer)
-        except BaseException:
-            producer.cancel()
-            consumer.cancel()
-            await asyncio.gather(producer, consumer, return_exceptions=True)
-            raise
+        speed = self.config.speed
+        span = (
+            self.telemetry.span("service.consume")
+            if self.telemetry is not None
+            else nullcontext()
+        )
+        with span:
+            last_day: Optional[int] = None
+            for cursor, event in enumerate(events):
+                if speed > 0 and last_day is not None and event.day > last_day:
+                    time.sleep(SECONDS_PER_DAY * (event.day - last_day) / speed)
+                last_day = event.day
+                self._step(cursor, event)
         self._finish()
 
     def _attempt_setup(self) -> None:
@@ -537,14 +490,16 @@ class LiveService:
         # attempt 0 — hitting the same deterministic crash forever.
         self._write_checkpoint()
 
-    async def run(self, events: Sequence[StreamEvent]) -> ServiceResult:
+    def run_stream(self, events: Sequence[StreamEvent]) -> ServiceResult:
         """Consume the stream to completion and return the run's result.
 
-        Transient injected failures restart the loop (restoring the
-        latest checkpoint when one exists) up to
-        :data:`MAX_SERVICE_RETRIES` times; injected crashes propagate —
-        they model the process dying, and the caller (or the next
-        ``--resume-from`` invocation) owns the restart.
+        The pass over ``events`` is synchronous and blocks the caller,
+        pacing sleeps included, so it runs the same from plain code and
+        from inside a running event loop.  Transient injected failures
+        restart the pass (restoring the latest checkpoint when one
+        exists) up to :data:`MAX_SERVICE_RETRIES` times; injected crashes
+        propagate — they model the process dying, and the caller (or the
+        next ``--resume-from`` invocation) owns the restart.
         """
         self._started = time.monotonic()
         self._horizon = max(1, len(events))
@@ -556,7 +511,7 @@ class LiveService:
         try:
             while True:
                 try:
-                    await self._run_attempt(events)
+                    self._run_attempt(events)
                     break
                 except InjectedTransientError:
                     self._retries += 1
@@ -573,10 +528,6 @@ class LiveService:
             if telemetry is not None:
                 telemetry.trace.lane = old_lane
                 self._publish_counters()
-
-    def run_stream(self, events: Sequence[StreamEvent]) -> ServiceResult:
-        """Synchronous wrapper around :meth:`run`."""
-        return asyncio.run(self.run(events))
 
     # ------------------------------------------------------------------
     # Results and telemetry

@@ -75,12 +75,11 @@ class SpanTracker:
     def __init__(self) -> None:
         self._records: Dict[str, SpanRecord] = {}
         # The nesting stack lives in a ContextVar, so concurrent asyncio
-        # tasks (the live service's producer/consumer pair) and threads
-        # each see their own stack: a span entered by one task can never
-        # splice itself into another task's path or pop another task's
-        # frame.  Records still accumulate into the shared dict — the
-        # isolation is only of the *nesting*, which is exactly the part
-        # a shared list corrupts under interleaving.
+        # tasks and threads each see their own stack: a span entered by
+        # one task can never splice itself into another task's path or
+        # pop another task's frame.  Records still accumulate into the
+        # shared dict — the isolation is only of the *nesting*, which is
+        # exactly the part a shared list corrupts under interleaving.
         self._stack: contextvars.ContextVar[Tuple[str, ...]] = (
             contextvars.ContextVar("span_stack", default=())
         )

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.measurement.export import save_dataset
+from tests.helpers import make_client, make_dataset
 
 
 def test_parser_requires_command():
@@ -113,3 +117,23 @@ def test_run_bad_input_exits_with_one_line(tmp_path, capsys, flags, message):
     assert message in err
     assert "Traceback" not in err
     assert not out_file.exists()
+
+
+def test_replay_damaged_export_exits_with_one_line(tmp_path, capsys):
+    client = make_client(1)
+    path = str(tmp_path / "ds.json")
+    save_dataset(
+        make_dataset(
+            [client],
+            num_days=2,
+            ecs_samples=[(0, client.key, "anycast", [10.0] * 25)],
+        ),
+        path,
+    )
+    with open(path, "r+b") as handle:
+        handle.truncate(os.path.getsize(path) - 40)
+    assert main(["replay", path]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -16,6 +16,7 @@ One leg drives the full ``repro replay`` CLI path to keep the
 command-line plumbing honest.
 """
 
+import asyncio
 import json
 import math
 
@@ -42,9 +43,11 @@ from repro.service import (
 )
 from repro.service.replay import PASSIVE_TOTAL_KEY
 from repro.simulation.campaign import CampaignConfig, CampaignRunner
-from repro.simulation.clock import SimulationCalendar
+from repro.simulation.clock import SECONDS_PER_DAY, SimulationCalendar
 from repro.simulation.dataset import StudyDataset
 from repro.simulation.scenario import Scenario, ScenarioConfig
+from repro.telemetry import Telemetry
+from repro.telemetry.trace import SERVICE_LANE
 from tests.helpers import make_client, make_dataset
 
 pytestmark = pytest.mark.service
@@ -279,3 +282,87 @@ class TestEventRecovery:
         service = LiveService(ServiceConfig(), num_days=1)
         result = service.run_stream(events)
         assert result.passive_admitted == 2
+
+
+class TestLoopContracts:
+    """Pacing, the loop's trace slice, and the call context."""
+
+    NUM_DAYS = 4
+    #: Ten simulated days per wall-clock second.
+    SPEED = 10.0 * SECONDS_PER_DAY
+
+    @classmethod
+    def gapped_events(cls):
+        """Beacons on days 0, 1 and 3 (25, 21 and 30 of them); day 2 is
+        empty."""
+        client = make_client(1)
+        dataset = make_dataset(
+            [client],
+            num_days=cls.NUM_DAYS,
+            ecs_samples=[
+                (0, client.key, "anycast", [10.0] * 25),
+                (1, client.key, "anycast", [11.0] * 21),
+                (3, client.key, "anycast", [12.0] * 30),
+            ],
+        )
+        return events_from_dataset(dataset)
+
+    @staticmethod
+    def outputs(result):
+        """The run's manifest (its digests and counts), minus timing."""
+        manifest = result.manifest()
+        del manifest["elapsed_seconds"]
+        return manifest
+
+    def test_paced_run_sleeps_once_per_day_advance(self, monkeypatch):
+        events = self.gapped_events()
+        service = LiveService(
+            ServiceConfig(speed=self.SPEED), num_days=self.NUM_DAYS
+        )
+        sleeps = []
+        monkeypatch.setattr(
+            "repro.service.ingest.time.sleep",
+            lambda seconds: sleeps.append((service.stream.count, seconds)),
+        )
+        paced = service.run_stream(events)
+        # (events consumed before the sleep, seconds): none before the
+        # first event, one before the first event of each later day, and
+        # the empty day 2 doubles the gap before day 3.
+        assert sleeps == [
+            (25, SECONDS_PER_DAY * 1 / self.SPEED),
+            (46, SECONDS_PER_DAY * 2 / self.SPEED),
+        ]
+        unpaced = LiveService(
+            ServiceConfig(), num_days=self.NUM_DAYS
+        ).run_stream(events)
+        assert self.outputs(paced) == self.outputs(unpaced)
+
+    def test_loop_is_one_consume_slice_on_the_service_lane(self):
+        telemetry = Telemetry(context={"mode": "replay"})
+        LiveService(
+            ServiceConfig(), num_days=self.NUM_DAYS, telemetry=telemetry
+        ).run_stream(self.gapped_events())
+        snapshot = telemetry.snapshot()
+        phases = [
+            (event.name, event.shard)
+            for event in snapshot.trace.events
+            if event.cat == "phase"
+        ]
+        assert phases == [("service.consume", SERVICE_LANE)]
+        assert "service.consume" in snapshot.spans
+        assert "service.produce" not in snapshot.spans
+
+    def test_run_stream_inside_a_running_event_loop(self):
+        events = self.gapped_events()
+        plain = LiveService(
+            ServiceConfig(), num_days=self.NUM_DAYS
+        ).run_stream(events)
+
+        async def call_from_a_coroutine():
+            return LiveService(
+                ServiceConfig(), num_days=self.NUM_DAYS
+            ).run_stream(events)
+
+        nested = asyncio.run(call_from_a_coroutine())
+        assert self.outputs(nested) == self.outputs(plain)
+        assert nested.predictions == plain.predictions

@@ -2,10 +2,10 @@
 
 Runs one small campaign through both engines on the same host and fails
 (exit code 1) if the vectorized engine's serial beacon throughput is not
-at least ``--min-speedup`` times the reference engine's.  The threshold
-is deliberately lower than the benchmark's recorded headline number
-(``benchmarks/out/pipeline_performance.txt``) so shared CI runners don't
-flake, while still catching any change that de-vectorizes the hot path.
+at least ``--min-speedup`` times the reference engine's.  CI passes 3.0
+here and 2.0 for ``--min-matrix-speedup``: low enough that shared CI
+runners don't flake, while still catching any change that de-vectorizes
+the hot path.
 
 Also asserts the vectorized engine's correctness contract: a serial run
 and a 2-worker sharded run produce bit-identical datasets (same
