@@ -419,16 +419,23 @@ class ValidationGate:
         )
 
     def admit_matrix(
-        self, day: int, client_key: str, rtts: np.ndarray
+        self,
+        day: int,
+        client_key: str,
+        rtts: np.ndarray,
+        first_row: int,
     ) -> Optional[np.ndarray]:
-        """Validate a ``(B, T)`` RTT block; the vectorized-engine path.
+        """Validate a ``(B, T)`` RTT block; the batched-engine path.
 
-        Returns ``None`` when every cell is valid (the caller keeps its
-        zero-copy fast path), else a boolean admit mask.  Under the
-        ``repair`` policy, repairable cells are clamped *in place* and
-        admitted.  Record indices are the flat ``b * T + t`` offsets, the
-        same layout the reference engine counts fetches in, so the two
-        engines quarantine the same record coordinates.
+        ``rtts`` holds the client-day's beacon sessions ``first_row``
+        to ``first_row + B - 1``, one fetch per column.  Returns ``None``
+        when every cell is valid (the caller keeps its zero-copy fast
+        path), else a boolean admit mask.  Under the ``repair`` policy,
+        repairable cells are clamped *in place* and admitted.  Record
+        indices are the day-level flat ``(first_row + b) * T + t``
+        offsets, the same layout the reference engine counts fetches in,
+        so every engine quarantines the same record coordinates however
+        it splits a client-day into blocks.
 
         Raises:
             ValidationError: under the ``strict`` policy.
@@ -447,7 +454,7 @@ class ValidationGate:
             admitted = self._reject(
                 day,
                 client_key,
-                int(row) * columns + int(col),
+                (first_row + int(row)) * columns + int(col),
                 reason,
                 value,
                 repaired,
@@ -463,10 +470,10 @@ class ValidationGate:
         Returns ``True`` — after counting every cell as checked — when
         the whole batch is valid, letting the caller skip per-block
         bookkeeping entirely.  Returns ``False`` *without counting
-        anything* otherwise: the caller must then re-run the batch
-        through :meth:`admit_matrix` in reference-engine block order so
-        quarantine coordinates and ``records_total`` land exactly where
-        the per-client engines put them.
+        anything* otherwise: the caller must then re-run each client's
+        rows through :meth:`admit_matrix`, with their first beacon row,
+        so quarantine coordinates and ``records_total`` land exactly
+        where the per-client engines put them.
         """
         with np.errstate(invalid="ignore"):
             valid = (rtts >= 0.0) & (rtts <= MAX_PLAUSIBLE_RTT_MS)

@@ -100,7 +100,9 @@ class ServiceConfig:
             (86_400 = one day per second; 0 = unpaced).  A paced loop
             sleeps ``SECONDS_PER_DAY * gap / speed`` before the first
             event of each later day, where ``gap`` is how many days that
-            event lies past the previous event's day.
+            event lies past the previous event's day.  A resumed run
+            paces from its first processed event, not through the
+            prefix it skips.
     """
 
     window_days: int = 1
@@ -445,11 +447,17 @@ class LiveService:
             else nullcontext()
         )
         with span:
+            # Pacing starts at the first event this attempt processes: a
+            # resume does not wait through the prefix it skips.
+            start = self._start_cursor
             last_day: Optional[int] = None
             for cursor, event in enumerate(events):
-                if speed > 0 and last_day is not None and event.day > last_day:
-                    time.sleep(SECONDS_PER_DAY * (event.day - last_day) / speed)
-                last_day = event.day
+                if speed > 0 and cursor >= start:
+                    if last_day is not None and event.day > last_day:
+                        time.sleep(
+                            SECONDS_PER_DAY * (event.day - last_day) / speed
+                        )
+                    last_day = event.day
                 self._step(cursor, event)
         self._finish()
 

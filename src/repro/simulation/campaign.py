@@ -1539,7 +1539,7 @@ class _VectorizedBeaconEngine:
                     kind, float(rtts[b, t])
                 )
 
-        admit = self._gate.admit_matrix(day, key, rtts)
+        admit = self._gate.admit_matrix(day, key, rtts, beacon_start)
         if admit is None:
             # Every cell valid (the overwhelmingly common case): the
             # original zero-copy bulk path.
@@ -1699,7 +1699,7 @@ class _MatrixBeaconEngine:
       order;
     * chunk spans are aligned to the oracle's ``_MAX_BLOCK_BEACONS``
       block grid, so validation-gate calls see the same block shapes
-      and quarantine the same block-local record coordinates.
+      and quarantine the same day-level record coordinates.
 
     Sinks are day-columnar: one :meth:`RequestDiffLog.observe_columns`
     call per chunk, per-span bulk extends into the grouped aggregates,
@@ -2026,7 +2026,8 @@ class _MatrixBeaconEngine:
 
         # Validation: one all-valid probe for the whole chunk (the
         # overwhelmingly common case), else per-span admit_matrix calls
-        # reproducing the oracle's block-local quarantine coordinates.
+        # at the spans' day-level beacon rows, the reference engine's
+        # quarantine coordinates.
         admits: Optional[List[Optional[np.ndarray]]] = None
         if has_dirty or not self._gate.admit_bulk_valid(rtts):
             admits = []
@@ -2039,6 +2040,7 @@ class _MatrixBeaconEngine:
                         day,
                         group.keys[member],
                         rtts[base_row:base_row + length],
+                        int(span_start[span_index]),
                     )
                 )
 

@@ -8,15 +8,18 @@ bundles:
 
 * a :class:`MetricsRegistry` of counters, gauges, and histograms with
   fixed log-spaced buckets (so shards merge deterministically);
-* a :class:`SpanTracker` of nested phase timers producing the
-  hierarchical wall-clock breakdown;
+* a :class:`TraceLog`, the run's timeline and its only store of time,
+  with a :class:`SpanTracker` whose nested phase timers write
+  ``cat="phase"`` slices onto it — the hierarchical wall-clock
+  breakdown (:class:`SpanRecord`) is a view summed from those slices;
 * the run context (seed, engine, workers, config hash) stamped on
   structured JSON-lines logs via :func:`configure_logging`.
 
 Snapshots (:class:`TelemetrySnapshot`) cross process boundaries and
-merge order-insensitively, mirroring the measurement sinks; they export
-to JSON and Prometheus text format, pretty-print as a run report, and
-distill into the run manifest written alongside every dataset.
+combine one way, through :meth:`Telemetry.absorb`, order-insensitively,
+mirroring the measurement sinks; they export to JSON and Prometheus
+text format, pretty-print as a run report, and distill into the run
+manifest written alongside every dataset.
 """
 
 from repro.telemetry.core import Telemetry, config_digest

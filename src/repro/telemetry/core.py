@@ -1,24 +1,28 @@
-"""The per-run telemetry facade: registry + spans + run context.
+"""The per-run telemetry facade: registry + trace + run context.
 
 One :class:`Telemetry` instance accompanies one campaign/study run.  It
-bundles the three concerns every instrumented call site needs — the
-metrics registry, the span tracker, and the run-identity context — so
-the hot paths take a single object, and the whole state freezes into a
-mergeable :class:`~repro.telemetry.snapshot.TelemetrySnapshot` at the
-end.
+bundles the concerns every instrumented call site needs — the metrics
+registry, the run's one :class:`~repro.telemetry.trace.TraceLog` with
+the span tracker that times phases onto it, and the run-identity
+context — so the hot paths take a single object, and the whole state
+freezes into a :class:`~repro.telemetry.snapshot.TelemetrySnapshot` at
+the end.  Time lives only in the trace: a snapshot's span records are a
+view of its phase slices.
 
-:meth:`Telemetry.absorb` is the inverse of :meth:`Telemetry.snapshot`:
-it folds a (worker's) snapshot back into this process's live registry,
-which is how the sharded parallel runner aggregates — each worker ships
-its snapshot over the process boundary, and the coordinator absorbs
-them all, in any order, into its own telemetry.
+:meth:`Telemetry.absorb` is the inverse of :meth:`Telemetry.snapshot`
+and the one way snapshots combine: it folds a (worker's) snapshot back
+into this process's live telemetry, which is how the sharded parallel
+runner aggregates — each worker ships its snapshot over the process
+boundary, and the coordinator absorbs them all, in any order, into its
+own telemetry.
 """
 
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, Iterator, Optional, Union
+from typing import Any, Dict, Optional, Union
 
+from repro.errors import TelemetryError
 from repro.telemetry.logs import RunContext
 from repro.telemetry.registry import (
     Counter,
@@ -55,12 +59,11 @@ class Telemetry:
         else:
             self.context = dict(context or {})
         self.registry = MetricsRegistry()
-        self.spans = SpanTracker()
-        # One timeline per run: spans mirror onto it as phase slices,
-        # and emission sites without a Telemetry handle (e.g. the
-        # columnar sidecar loader) reach it via the active-trace hook.
+        # One timeline per run: spans time phases onto it, and emission
+        # sites without a Telemetry handle (e.g. the columnar sidecar
+        # loader) reach it via the active-trace hook.
         self.trace = TraceLog()
-        self.spans.trace = self.trace
+        self.spans = SpanTracker(self.trace)
         set_active_trace(self.trace)
 
     # ------------------------------------------------------------------
@@ -112,22 +115,33 @@ class Telemetry:
                 }
                 for histogram in self.registry.histograms()
             },
-            spans={
-                path: type(record)(
-                    count=record.count,
-                    seconds=record.seconds,
-                    indexed=dict(record.indexed),
-                )
-                for path, record in self.spans.records.items()
-            },
             trace=self.trace.copy() if self.trace.events else None,
         )
 
     def absorb(self, snapshot: TelemetrySnapshot) -> None:
         """Fold a snapshot into this live telemetry (inverse of
-        :meth:`snapshot`; order-insensitive across snapshots)."""
+        :meth:`snapshot`; order-insensitive across snapshots).
+
+        Counters add, gauges combine under their merge policy,
+        histograms add per bucket, and the snapshot's trace (its span
+        records with it) merges into this one.  Context keys present on
+        both sides must agree — shards of one run share seed, engine and
+        config hash, so a mismatch means snapshots of *different* runs —
+        except ``workers``, which each shard reports as 1.
+
+        Raises:
+            TelemetryError: on a conflicting context value, gauge
+                merge policy, or histogram bucket layout.
+        """
         for key, value in snapshot.context.items():
-            self.context.setdefault(key, value)
+            mine = self.context.get(key)
+            if mine is None:
+                self.context[key] = value
+            elif mine != value and key != "workers":
+                raise TelemetryError(
+                    f"cannot absorb a snapshot of a different run: "
+                    f"context[{key!r}] differs ({mine!r} != {value!r})"
+                )
         for name, value in snapshot.counters.items():
             self.registry.counter(name).inc(value)
         for name, gauge in snapshot.gauges.items():
@@ -145,6 +159,5 @@ class Telemetry:
                 histogram["sum"],
                 histogram["observations"],
             )
-        self.spans.absorb(snapshot.spans)
         if snapshot.trace is not None and snapshot.trace.events:
             self.trace.merge(snapshot.trace)

@@ -1,18 +1,17 @@
-"""Serializable, mergeable snapshots of a run's telemetry.
+"""Serializable snapshots of a run's telemetry.
 
 A :class:`TelemetrySnapshot` is the frozen value of one process's
-telemetry — counters, gauges, histograms, and span records, plus the
-run context (seed, engine, workers, config hash).  Snapshots are what
-cross process boundaries: each :class:`~repro.simulation.parallel
+telemetry — counters, gauges, histograms, and the trace timeline, plus
+the run context (seed, engine, workers, config hash).  Snapshots are
+what cross process boundaries: each :class:`~repro.simulation.parallel
 .ParallelCampaignRunner` worker returns its snapshot alongside its
-partial dataset, and the coordinator merges them exactly like the
-measurement sinks — order-insensitively:
+partial dataset, and the coordinator folds them into its live telemetry
+with :meth:`~repro.telemetry.core.Telemetry.absorb`, the one way
+snapshots combine, order-insensitively like the measurement sinks.
 
-* counters and span records add;
-* histograms add per-bucket counts (layouts are fixed, so buckets
-  always line up);
-* gauges combine under their declared merge policy;
-* contexts must agree on shared keys (shards of one run do).
+A snapshot stores no span records: :attr:`TelemetrySnapshot.spans` is
+the view :func:`~repro.telemetry.trace.span_records` sums from the
+trace's phase slices, built once on first read.
 
 Snapshots serialize to a single JSON document (:meth:`to_json` /
 :meth:`from_json`) and to Prometheus text exposition format
@@ -23,15 +22,17 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import TelemetryError
 from repro.telemetry.registry import GAUGE_MERGE_MODES
-from repro.telemetry.spans import PATH_SEPARATOR, SpanRecord
-from repro.telemetry.trace import TraceLog
+from repro.telemetry.spans import PATH_SEPARATOR
+from repro.telemetry.trace import SpanRecord, TraceLog, span_records
 
-#: Format marker written into every snapshot export.
-SNAPSHOT_FORMAT_VERSION = 1
+#: Format marker written into every snapshot export.  Version 2 dropped
+#: the ``spans`` section: span records are read from the trace.
+SNAPSHOT_FORMAT_VERSION = 2
 
 
 def _sanitize(name: str) -> str:
@@ -51,105 +52,29 @@ class TelemetrySnapshot:
         gauges: name → ``{"value": float, "merge": policy}``.
         histograms: name → ``{"start", "growth", "bucket_count",
             "counts" (overflow last), "sum", "observations"}``.
-        spans: path → :class:`SpanRecord`.
         trace: optional :class:`TraceLog` of structured timeline
-            events; merged by clock-rebased event-set union.
+            events (phase slices included); merged by clock-rebased
+            event-set union.
     """
 
     context: Dict[str, Any] = field(default_factory=dict)
     counters: Dict[str, float] = field(default_factory=dict)
     gauges: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     histograms: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-    spans: Dict[str, SpanRecord] = field(default_factory=dict)
     trace: Optional[TraceLog] = None
 
-    # ------------------------------------------------------------------
-    # Merging
-    # ------------------------------------------------------------------
-
-    def merge(self, other: "TelemetrySnapshot") -> "TelemetrySnapshot":
-        """Fold another snapshot into this one (in place).
-
-        Order-insensitive for counters, histograms, and spans; gauges
-        follow their merge policy.  Context keys present in both
-        snapshots must agree — shards of one run share seed, engine,
-        and config hash by construction, so a mismatch means snapshots
-        from *different* runs are being combined.
-
-        Raises:
-            TelemetryError: on conflicting context values, gauge merge
-                policies, or histogram bucket layouts.
-        """
-        for key, value in other.context.items():
-            mine = self.context.get(key)
-            if mine is None:
-                self.context[key] = value
-            elif mine != value and key != "workers":
-                raise TelemetryError(
-                    f"cannot merge snapshots from different runs: "
-                    f"context[{key!r}] differs ({mine!r} != {value!r})"
-                )
-        for name, value in other.counters.items():
-            self.counters[name] = self.counters.get(name, 0) + value
-        for name, gauge in other.gauges.items():
-            mine = self.gauges.get(name)
-            if mine is None:
-                self.gauges[name] = dict(gauge)
-                continue
-            if mine["merge"] != gauge["merge"]:
-                raise TelemetryError(
-                    f"gauge {name!r}: conflicting merge policies "
-                    f"{mine['merge']!r} != {gauge['merge']!r}"
-                )
-            mode = mine["merge"]
-            if mode == "max":
-                mine["value"] = max(mine["value"], gauge["value"])
-            elif mode == "min":
-                mine["value"] = min(mine["value"], gauge["value"])
-            elif mode == "sum":
-                mine["value"] += gauge["value"]
-            else:  # "last"
-                mine["value"] = gauge["value"]
-        for name, histogram in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                self.histograms[name] = {
-                    **histogram, "counts": list(histogram["counts"]),
-                }
-                continue
-            layout = ("start", "growth", "bucket_count")
-            if any(mine[k] != histogram[k] for k in layout):
-                raise TelemetryError(
-                    f"histogram {name!r}: bucket layouts differ; "
-                    "cannot merge"
-                )
-            mine["counts"] = [
-                a + b for a, b in zip(mine["counts"], histogram["counts"])
-            ]
-            mine["sum"] += histogram["sum"]
-            mine["observations"] += histogram["observations"]
-        for path, record in other.spans.items():
-            mine_record = self.spans.get(path)
-            if mine_record is None:
-                self.spans[path] = SpanRecord(
-                    count=record.count,
-                    seconds=record.seconds,
-                    indexed=dict(record.indexed),
-                )
-            else:
-                mine_record.absorb(record)
-        if other.trace is not None and other.trace.events:
-            if self.trace is None:
-                self.trace = TraceLog(origin=other.trace.origin)
-            self.trace.merge(other.trace)
-        return self
+    @cached_property
+    def spans(self) -> Dict[str, SpanRecord]:
+        """path → :class:`SpanRecord`, summed from the trace's phase
+        slices in first-completion order."""
+        return {} if self.trace is None else span_records(self.trace.events)
 
     # ------------------------------------------------------------------
     # Phase-tree helpers
     # ------------------------------------------------------------------
 
     def span_children(self, path: str) -> List[Tuple[str, SpanRecord]]:
-        """Direct children of a span path, insertion-ordered."""
+        """Direct children of a span path, first-completion ordered."""
         prefix = path + PATH_SEPARATOR
         return [
             (candidate, record)
@@ -159,7 +84,7 @@ class TelemetrySnapshot:
         ]
 
     def span_roots(self) -> List[Tuple[str, SpanRecord]]:
-        """Top-level span paths, insertion-ordered."""
+        """Top-level span paths, first-completion ordered."""
         return [
             (path, record)
             for path, record in self.spans.items()
@@ -206,14 +131,6 @@ class TelemetrySnapshot:
                 name: {**hist, "counts": list(hist["counts"])}
                 for name, hist in self.histograms.items()
             },
-            "spans": {
-                path: {
-                    "count": record.count,
-                    "seconds": record.seconds,
-                    "indexed": dict(record.indexed),
-                }
-                for path, record in self.spans.items()
-            },
         }
         if self.trace is not None and self.trace.events:
             document["trace"] = self.trace.to_obj()
@@ -251,17 +168,6 @@ class TelemetrySnapshot:
             histograms={
                 name: {**hist, "counts": list(hist["counts"])}
                 for name, hist in document.get("histograms", {}).items()
-            },
-            spans={
-                path: SpanRecord(
-                    count=int(record["count"]),
-                    seconds=float(record["seconds"]),
-                    indexed={
-                        key: float(value)
-                        for key, value in record.get("indexed", {}).items()
-                    },
-                )
-                for path, record in document.get("spans", {}).items()
             },
             trace=(
                 TraceLog.from_obj(document["trace"])

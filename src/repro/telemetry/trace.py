@@ -29,6 +29,11 @@ Design constraints, in order:
   Chrome trace-event JSON (``ph: "X"`` complete slices, ``ph: "i"``
   instants, thread-name metadata) that ``ui.perfetto.dev`` and
   ``chrome://tracing`` load directly, one lane ("thread") per shard.
+* **The only store of time.**  Phase timers
+  (:class:`~repro.telemetry.spans.SpanTracker`) write ``cat="phase"``
+  slices here and keep nothing else; :func:`span_records` sums those
+  slices into the per-path :class:`SpanRecord` view that snapshots,
+  manifests, reports and the critical-path attribution all read.
 
 Everything here is pure stdlib so shard workers can import it without
 dragging in numpy or the measurement stack.
@@ -146,6 +151,61 @@ class TraceEvent:
             scope=str(obj.get("scope", "ops")),
             args=_freeze_args(dict(obj.get("args", {}))),
         )
+
+
+@dataclass
+class SpanRecord:
+    """Summed time of one span path's phase slices.
+
+    Attributes:
+        count: Slices (span entries) on the path.
+        seconds: Their total duration, nested spans included.
+        indexed: Per-``index`` second totals (e.g. per day), keyed by
+            the stringified index.
+    """
+
+    count: int = 0
+    seconds: float = 0.0
+    indexed: Dict[str, float] = field(default_factory=dict)
+
+
+def span_records(events: Iterable[TraceEvent]) -> Dict[str, SpanRecord]:
+    """Per-path records of the ``cat="phase"`` slices among ``events``.
+
+    Durations sum as integer microseconds, so the view is exact and
+    independent of event order and of how shard logs were merged.  Paths
+    and index keys come in first-completion order (slice end time, ties
+    in timeline order): the order a live tracker finished them in, also
+    for a log reloaded in canonical order.
+    """
+    slices = sorted(
+        (
+            event
+            for event in events
+            if event.cat == "phase" and event.dur_us is not None
+        ),
+        key=lambda event: event.ts_us + event.dur_us,
+    )
+    records: Dict[str, SpanRecord] = {}
+    for event in slices:
+        record = records.get(event.name)
+        if record is None:
+            record = records[event.name] = SpanRecord()
+        # Whole microseconds until the end: float sums of integers are
+        # exact below 2**53 us (285 years).
+        record.count += 1
+        record.seconds += event.dur_us
+        for key, value in event.args:
+            if key == "index":
+                index = str(value)
+                record.indexed[index] = (
+                    record.indexed.get(index, 0.0) + event.dur_us
+                )
+    for record in records.values():
+        record.seconds /= 1e6
+        for index in record.indexed:
+            record.indexed[index] /= 1e6
+    return records
 
 
 @dataclass
@@ -513,33 +573,26 @@ def format_trace_report(log: TraceLog) -> str:
         for (cat, name), count in sorted(ops_counts.items()):
             lines.append(f"  {cat}/{name:<28} {count:>6}")
 
-    # Critical-path phase attribution: sum phase slices on the lane
-    # that finishes last, grouped by phase path, deepest paths first.
-    phase_totals: Dict[str, int] = {}
-    for event in events:
-        if (
-            event.shard == critical_lane
-            and event.dur_us is not None
-            and event.cat == "phase"
-        ):
-            phase_totals[event.name] = (
-                phase_totals.get(event.name, 0) + event.dur_us
-            )
-    if phase_totals:
+    # Critical-path phase attribution: the span records of the lane
+    # that finishes last, longest first, as shares of its longest root.
+    phases = span_records(
+        event for event in events if event.shard == critical_lane
+    )
+    if phases:
         lines.append("")
         lines.append(
             f"critical-path phases ({_lane_label(critical_lane)}):"
         )
         total = max(
-            (v for k, v in phase_totals.items() if "/" not in k),
-            default=sum(phase_totals.values()),
+            (r.seconds for path, r in phases.items() if "/" not in path),
+            default=sum(r.seconds for r in phases.values()),
         )
-        for name, dur in sorted(
-            phase_totals.items(), key=lambda item: -item[1]
+        for name, record in sorted(
+            phases.items(), key=lambda item: -item[1].seconds
         ):
-            share = (dur / total * 100.0) if total else 0.0
+            share = (record.seconds / total * 100.0) if total else 0.0
             lines.append(
-                f"  {name:<32} {dur / 1e6:>9.3f}s  {share:>5.1f}%"
+                f"  {name:<32} {record.seconds:>9.3f}s  {share:>5.1f}%"
             )
 
     data_totals = log.data_totals()

@@ -15,6 +15,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ValidationError
 from repro.clients.population import ClientPopulationConfig
+from repro.clients.workload import WorkloadConfig
 from repro.faults import (
     CLOCK_SKEW_STEP_MS,
     RECORD_KINDS,
@@ -178,6 +179,46 @@ class TestQuarantineIdentity:
             (s.day, s.client_key, s.record_index, s.reason)
             for s in vec_runner.quarantine.samples
         ]
+
+    def test_engines_agree_on_days_past_one_block(self):
+        """The batched engines cut a client-day into 4096-beacon blocks;
+        a dirty record past the first block must still be logged at the
+        day-level slot the reference engine counts (and the planter
+        chose), not at its offset within the block."""
+        scenario = Scenario.build(
+            ScenarioConfig(
+                seed=11,
+                population=ClientPopulationConfig(
+                    prefix_count=1,
+                    volume_median_queries=30000,
+                    volume_sigma=0.1,
+                ),
+                workload=WorkloadConfig(
+                    max_beacons_per_day=6000, beacon_fraction=1.0
+                ),
+                calendar=SimulationCalendar(num_days=1),
+            )
+        )
+        logged = {}
+        for engine in ("reference", "vectorized", "matrix"):
+            runner = CampaignRunner(
+                scenario,
+                CampaignConfig(
+                    engine=engine,
+                    fault_plan=FaultPlan.from_spec("record-corrupt:12"),
+                    validation="lenient",
+                ),
+            )
+            dataset = runner.run()
+            assert dataset.beacon_count == 6000
+            logged[engine] = {
+                (s.day, s.client_key, s.record_index, s.reason)
+                for s in runner.quarantine.samples
+            }
+        # Four fetches per beacon: slots past 4096 * 4 are in block two.
+        assert max(index for _, _, index, _ in logged["reference"]) > 4096 * 4
+        assert logged["vectorized"] == logged["reference"]
+        assert logged["matrix"] == logged["reference"]
 
     def test_telemetry_counters_published(self, dirty_run):
         runner, _ = dirty_run

@@ -117,13 +117,19 @@ class TestValidationGate:
         for (r, c), value in dirty.items():
             block[r, c] = value
 
+        # The block holds the client-day's beacons from row 7 on; record
+        # indices are day-level, so they count from there.
+        first_row = 7
         scalar_gate = ValidationGate("repair")
         expected = np.array(block)
         expected_mask = np.ones((rows, cols), dtype=bool)
         for r in range(rows):
             for c in range(cols):
                 admitted = scalar_gate.admit(
-                    3, "10.9.9.0/24", r * cols + c, float(block[r, c])
+                    3,
+                    "10.9.9.0/24",
+                    (first_row + r) * cols + c,
+                    float(block[r, c]),
                 )
                 if admitted is None:
                     expected_mask[r, c] = False
@@ -132,7 +138,7 @@ class TestValidationGate:
 
         matrix_gate = ValidationGate("repair")
         work = np.array(block)
-        mask = matrix_gate.admit_matrix(3, "10.9.9.0/24", work)
+        mask = matrix_gate.admit_matrix(3, "10.9.9.0/24", work, first_row)
         assert mask is not None
         assert np.array_equal(mask, expected_mask)
         assert np.array_equal(work[mask], expected[expected_mask])
@@ -144,7 +150,7 @@ class TestValidationGate:
     def test_matrix_fast_path_is_zero_copy(self):
         gate = ValidationGate("lenient")
         clean = np.full((4, 3), 25.0)
-        assert gate.admit_matrix(0, "c", clean) is None
+        assert gate.admit_matrix(0, "c", clean, 0) is None
         assert gate.records_total == 12
         assert gate.quarantine.total == 0
 

@@ -17,6 +17,7 @@ command-line plumbing honest.
 """
 
 import asyncio
+import dataclasses
 import json
 import math
 
@@ -25,6 +26,8 @@ import pytest
 from repro import cli
 from repro.core.predictor import HistoryBasedPredictor
 from repro.errors import MeasurementError
+from repro.faults.inject import InjectedCrashError
+from repro.faults.plan import FaultPlan
 from repro.clients.population import ClientPopulationConfig
 from repro.measurement.aggregate import (
     GroupedDailyAggregates,
@@ -335,6 +338,51 @@ class TestLoopContracts:
         unpaced = LiveService(
             ServiceConfig(), num_days=self.NUM_DAYS
         ).run_stream(events)
+        assert self.outputs(paced) == self.outputs(unpaced)
+
+    def test_paced_resume_skips_the_restored_prefix_unpaced(
+        self, monkeypatch, tmp_path
+    ):
+        """A resume restored at the start of day 2 sleeps once, before
+        day 3: pacing starts at the first event it processes."""
+        client = make_client(1)
+        events = events_from_dataset(
+            make_dataset(
+                [client],
+                num_days=self.NUM_DAYS,
+                ecs_samples=[
+                    (day, client.key, "anycast", [10.0 + day] * count)
+                    for day, count in enumerate((25, 21, 20, 30))
+                ],
+            )
+        )
+
+        def crash_then_resume(directory, speed):
+            config = ServiceConfig(
+                seed=4,  # crash ordinal 54: mid day 2 (events 46-65)
+                fault_plan=FaultPlan.from_spec("crash:1"),
+                checkpoint_dir=str(directory),
+            )
+            with pytest.raises(InjectedCrashError):
+                LiveService(config, num_days=self.NUM_DAYS).run_stream(
+                    events
+                )
+            service = LiveService(
+                dataclasses.replace(config, resume=True, speed=speed),
+                num_days=self.NUM_DAYS,
+            )
+            sleeps = []
+            monkeypatch.setattr(
+                "repro.service.ingest.time.sleep",
+                lambda seconds: sleeps.append((service.stream.count, seconds)),
+            )
+            return service.run_stream(events), sleeps
+
+        paced, sleeps = crash_then_resume(tmp_path / "paced", self.SPEED)
+        assert paced.resumed_from_cursor == 46
+        assert sleeps == [(66, SECONDS_PER_DAY / self.SPEED)]
+        unpaced, no_sleeps = crash_then_resume(tmp_path / "unpaced", 0.0)
+        assert no_sleeps == []
         assert self.outputs(paced) == self.outputs(unpaced)
 
     def test_loop_is_one_consume_slice_on_the_service_lane(self):

@@ -9,8 +9,14 @@ import threading
 import pytest
 
 from repro.errors import TelemetryError
-from repro.telemetry import RunContext, configure_logging, get_logger
+from repro.telemetry import (
+    RunContext,
+    TelemetrySnapshot,
+    configure_logging,
+    get_logger,
+)
 from repro.telemetry.spans import SpanTracker
+from repro.telemetry.trace import TraceLog, span_records
 
 
 class TestSpanNesting:
@@ -31,10 +37,11 @@ class TestSpanNesting:
                 pass
             with tracker.span("day"):
                 pass
-        assert [path for path, _ in tracker.children_of("campaign")] == [
+        snapshot = TelemetrySnapshot(trace=tracker.trace)
+        assert [path for path, _ in snapshot.span_children("campaign")] == [
             "campaign/setup", "campaign/day",
         ]
-        assert [path for path, _ in tracker.roots()] == ["campaign"]
+        assert [path for path, _ in snapshot.span_roots()] == ["campaign"]
 
     def test_repeated_entries_aggregate(self):
         tracker = SpanTracker()
@@ -76,10 +83,11 @@ class TestExceptionSafety:
         tracker.record_seconds("campaign", 10.0)
         tracker.record_seconds("campaign/day", 9.0)
         tracker.record_seconds("campaign/setup", 0.5)
-        assert tracker.coverage("campaign") == pytest.approx(0.95)
-        assert tracker.coverage("missing") == 0.0
         tracker.record_seconds("empty", 0.0)
-        assert tracker.coverage("empty") == 1.0
+        snapshot = TelemetrySnapshot(trace=tracker.trace)
+        assert snapshot.phase_coverage("campaign") == pytest.approx(0.95)
+        assert snapshot.phase_coverage("missing") == 0.0
+        assert snapshot.phase_coverage("empty") == 1.0
 
     def test_absorb_adds_per_path(self):
         a = SpanTracker()
@@ -87,10 +95,44 @@ class TestExceptionSafety:
         a.record_seconds("campaign/day", 1.0, index=0)
         b.record_seconds("campaign/day", 2.0, index=0)
         b.record_seconds("campaign/day", 4.0, index=1)
-        a.absorb(b.records)
+        a.trace.merge(b.trace)
         record = a.records["campaign/day"]
-        assert record.seconds == pytest.approx(7.0)
-        assert record.indexed == {"0": pytest.approx(3.0), "1": 4.0}
+        assert record.count == 3
+        # Slices sum as whole microseconds: exact, in any merge order.
+        assert record.seconds == 7.0
+        assert record.indexed == {"0": 3.0, "1": 4.0}
+
+
+class TestRecordsView:
+    """The records are the trace's phase slices, summed per path."""
+
+    def test_tracker_keeps_no_time_of_its_own(self):
+        trace = TraceLog()
+        tracker = SpanTracker(trace)
+        with tracker.span("campaign"):
+            tracker.record_seconds("campaign/day", 0.25, index=3)
+        assert [(e.name, e.cat) for e in trace.events] == [
+            ("campaign/day", "phase"), ("campaign", "phase"),
+        ]
+        assert tracker.records == span_records(trace.events)
+        trace.events.clear()
+        assert tracker.records == {}
+
+    def test_first_completion_order_in_any_event_order(self):
+        log = TraceLog()
+        log.complete("campaign", ts_us=0, dur_us=100)
+        log.complete("campaign/day", ts_us=40, dur_us=50, index=1)
+        log.complete("campaign/setup", ts_us=10, dur_us=20)
+        log.complete("campaign/day", ts_us=30, dur_us=5, index=0)
+        log.instant("checkpoint.saved", "checkpoint", ts_us=95)
+        for events in (log.events, log.canonical(), log.events[::-1]):
+            records = span_records(events)
+            assert list(records) == [
+                "campaign/setup", "campaign/day", "campaign",
+            ]
+            assert list(records["campaign/day"].indexed) == ["0", "1"]
+            assert records["campaign/day"].count == 2
+            assert records["campaign/day"].seconds == 55e-6
 
 
 class TestConcurrentNesting:
