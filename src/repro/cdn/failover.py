@@ -152,17 +152,6 @@ class WithdrawalSimulator:
         )
         return frontend_loads(network, self._clients)
 
-    def overloaded_after(self, withdrawn: Iterable[str]) -> Tuple[str, ...]:
-        """Survivors pushed past capacity by a withdrawal set."""
-        loads = self.loads_after_withdrawal(withdrawn)
-        return tuple(
-            sorted(
-                frontend_id
-                for frontend_id, load in loads.items()
-                if load > self._capacities[frontend_id]
-            )
-        )
-
     def cascade(
         self, initial_withdrawn: Iterable[str], max_rounds: int = 10
     ) -> CascadeResult:

@@ -14,7 +14,7 @@ from typing import Tuple
 from repro.geo.coords import GeoPoint
 from repro.geo.metros import Metro
 from repro.geo.regions import Region
-from repro.net.ip import IPv4Address, IPv4Prefix
+from repro.net.ip import IPv4Prefix
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,6 @@ class FrontEnd:
     def region(self) -> Region:
         """Continental region of the front-end."""
         return self.metro.region
-
-    @property
-    def unicast_address(self) -> IPv4Address:
-        """A representative test address inside the unicast /24."""
-        return self.unicast_prefix.address_at(1)
 
     def distance_km(self, point: GeoPoint) -> float:
         """Great-circle distance from ``point`` to this front-end."""

@@ -213,7 +213,7 @@ class LatencyDigest:
         values: Union[np.ndarray, Sequence[float]],
         bounds: Optional[Tuple[float, float]] = None,
     ) -> None:
-        """Append a batch of samples (the vectorized engine's bulk path).
+        """Append a batch of samples (the batched engines' bulk path).
 
         Accepts any float sequence; numpy arrays append through the
         buffer protocol without a per-element Python loop.  ``bounds``
@@ -480,14 +480,11 @@ class GroupedDailyAggregates:
         group: str,
         target_id: str,
         rtts_ms: Union[np.ndarray, Sequence[float]],
-        bounds: Optional[Tuple[float, float]] = None,
     ) -> None:
         """Add a batch of measurements for one (day, group, target).
 
         The bulk counterpart of :meth:`observe` — one dictionary walk and
         one :meth:`LatencyDigest.extend` per batch instead of per sample.
-        ``bounds`` forwards a precomputed ``(min, max)`` to the digest
-        (see :meth:`LatencyDigest.extend`).
         """
         if len(rtts_ms) == 0:
             return
@@ -500,7 +497,7 @@ class GroupedDailyAggregates:
         if digest is None:
             digest = self._new_digest()
             per_group[target_id] = digest
-        digest.extend(rtts_ms, bounds)
+        digest.extend(rtts_ms)
 
     def observe_runs(
         self,
@@ -745,51 +742,6 @@ class RequestDiffLog:
         self._anycast.append(anycast_rtt_ms)
         self._best_unicast.append(best_unicast_rtt_ms)
 
-    def observe_many(
-        self,
-        day: int,
-        client_index: int,
-        region_name: str,
-        anycast_rtts_ms: Union[np.ndarray, Sequence[float]],
-        best_unicast_rtts_ms: Union[np.ndarray, Sequence[float]],
-    ) -> None:
-        """Record one client-day's beacon summaries in bulk.
-
-        Both value sequences must have equal length; the day, client, and
-        region are shared by every row (which is exactly the shape one
-        vectorized (client, day) block produces).
-        """
-        n = len(anycast_rtts_ms)
-        if len(best_unicast_rtts_ms) != n:
-            raise MeasurementError(
-                "anycast and best-unicast batches must have equal length"
-            )
-        if n == 0:
-            return
-        if self._bounded:
-            anycast32 = np.ascontiguousarray(
-                anycast_rtts_ms, dtype=np.float32
-            ).astype(np.float64)
-            best32 = np.ascontiguousarray(
-                best_unicast_rtts_ms, dtype=np.float32
-            ).astype(np.float64)
-            self._sketch_for(day, region_name).extend(anycast32 - best32)
-            self._total += n
-            return
-        code = self.region_code(region_name)
-        self._day.extend([day] * n)
-        self._client_index.extend([client_index] * n)
-        self._region_code.extend([code] * n)
-        # float32 storage, same cast the scalar append performs.
-        self._anycast.frombytes(
-            np.ascontiguousarray(anycast_rtts_ms, dtype=np.float32).tobytes()
-        )
-        self._best_unicast.frombytes(
-            np.ascontiguousarray(
-                best_unicast_rtts_ms, dtype=np.float32
-            ).tobytes()
-        )
-
     def observe_columns(
         self,
         day: int,
@@ -798,14 +750,16 @@ class RequestDiffLog:
         anycast_rtts_ms: np.ndarray,
         best_unicast_rtts_ms: np.ndarray,
     ) -> None:
-        """Record one whole day of beacon summaries as columns.
+        """Record one day's beacon summaries as columns.
 
-        The matrix engine's sink: unlike :meth:`observe_many`, rows may
-        span many clients and regions.  ``region_codes`` must come from
-        *this* log's :meth:`region_code` registry.  Exact mode packs the
-        columns straight into the backing arrays (same float32 casts as
-        the per-client paths, so the stored row multiset is identical);
-        bounded mode fans the rows out to the per-(day, region) sketches.
+        The batched engines' sink: rows may span many clients and
+        regions (a matrix chunk) or repeat one client and region (a
+        vectorized block).  ``region_codes`` must come from *this* log's
+        :meth:`region_code` registry.  Exact mode packs the columns
+        straight into the backing arrays (same float32 casts as the
+        scalar :meth:`observe`, so the stored row multiset is
+        identical); bounded mode fans the rows out to the per-(day,
+        region) sketches.
         """
         n = int(anycast_rtts_ms.shape[0])
         if (

@@ -8,12 +8,12 @@ so campaigns never hold raw logs in memory, while :func:`join_raw_log`
 provides the batch equivalent over a :class:`RawMeasurementLog` for tests
 and small studies.
 
-The vectorized measurement engine synthesizes measurements already
-joined (it knows the target, serving front-end, and RTT of every fetch
-at once), so it feeds the backend through :meth:`BeaconBackend
-.on_joined_batch` — columnar :class:`JoinedBatch` blocks that bypass the
-per-id partial bookkeeping while keeping the joined-row accounting and
-observer fan-out in one place.
+Only the scalar reference engine runs the three-way join.  The batched
+engines synthesize measurements already joined (they know the target,
+serving front-end, and RTT of every fetch at once), so they write the
+aggregate sinks directly and report their admitted row volume through
+:meth:`BeaconBackend.count_joined_bulk`, keeping the joined-row count in
+one place.
 """
 
 from __future__ import annotations
@@ -31,45 +31,6 @@ from repro.measurement.logs import (
 
 #: Callback type receiving each joined measurement.
 JoinedObserver = Callable[[JoinedMeasurement], None]
-
-
-@dataclass(frozen=True)
-class JoinedSegment:
-    """A run of joined measurements sharing target and serving front-end.
-
-    ``rtts_ms`` is typically a float64 numpy array (one RTT per fetch);
-    any float sequence works.
-    """
-
-    target_id: str
-    frontend_id: str
-    rtts_ms: Sequence[float]
-
-    def __len__(self) -> int:
-        return len(self.rtts_ms)
-
-
-@dataclass(frozen=True)
-class JoinedBatch:
-    """One (client, day) block of pre-joined measurements, columnar.
-
-    Every row in the batch shares the day, client /24, and resolver; the
-    per-(target, front-end) segments carry the RTT columns.
-    """
-
-    day: int
-    client_key: str
-    ldns_id: str
-    segments: Tuple[JoinedSegment, ...]
-
-    @property
-    def count(self) -> int:
-        """Total joined rows in the batch."""
-        return sum(len(segment) for segment in self.segments)
-
-
-#: Callback type receiving each joined batch.
-BatchObserver = Callable[[JoinedBatch], None]
 
 
 @dataclass
@@ -92,23 +53,14 @@ class _Partial:
 class BeaconBackend:
     """Incremental three-way join keyed by measurement id."""
 
-    def __init__(
-        self,
-        observers: Sequence[JoinedObserver] = (),
-        batch_observers: Sequence[BatchObserver] = (),
-    ) -> None:
+    def __init__(self, observers: Sequence[JoinedObserver] = ()) -> None:
         self._observers: List[JoinedObserver] = list(observers)
-        self._batch_observers: List[BatchObserver] = list(batch_observers)
         self._partials: Dict[str, _Partial] = {}
         self._joined_count = 0
 
     def add_observer(self, observer: JoinedObserver) -> None:
         """Register another consumer of joined rows."""
         self._observers.append(observer)
-
-    def add_batch_observer(self, observer: BatchObserver) -> None:
-        """Register a consumer of columnar joined batches."""
-        self._batch_observers.append(observer)
 
     @property
     def joined_count(self) -> int:
@@ -146,40 +98,14 @@ class BeaconBackend:
         partial.http = entry
         self._maybe_emit(entry.measurement_id, partial)
 
-    def on_joined_batch(self, batch: JoinedBatch) -> None:
-        """Ingest a block of already-joined measurements.
-
-        The vectorized engine's bulk path: no per-id partial state, one
-        joined-count bump, and one callback per batch observer.  Scalar
-        observers (if any are registered) still receive one
-        :class:`JoinedMeasurement` per row, so mixed consumers see the
-        same stream either way.
-        """
-        self._joined_count += batch.count
-        for batch_observer in self._batch_observers:
-            batch_observer(batch)
-        if self._observers:
-            for segment in batch.segments:
-                for rtt_ms in segment.rtts_ms:
-                    joined = JoinedMeasurement(
-                        day=batch.day,
-                        client_key=batch.client_key,
-                        ldns_id=batch.ldns_id,
-                        target_id=segment.target_id,
-                        frontend_id=segment.frontend_id,
-                        rtt_ms=float(rtt_ms),
-                    )
-                    for observer in self._observers:
-                        observer(joined)
-
     def count_joined_bulk(self, count: int) -> None:
-        """Account ``count`` already-joined rows without batch objects.
+        """Account ``count`` rows that were joined at synthesis.
 
-        The matrix engine writes its columns into the aggregate sinks
-        directly (no per-client :class:`JoinedBatch` is materialized),
-        so it reports its admitted row volume here — the same number a
-        per-client engine would accumulate via segment counts.  Only
-        valid for sinks with no scalar observers to notify.
+        The batched engines write their columns into the aggregate
+        sinks directly, so each reports its admitted row volume here —
+        the number of rows the three-way join would have emitted for
+        the same fetches.  Only valid for backends with no scalar
+        observers to notify.
 
         Raises:
             MeasurementError: if scalar observers are registered — they
@@ -188,34 +114,12 @@ class BeaconBackend:
         if self._observers:
             raise MeasurementError(
                 "bulk joined-count accounting cannot notify scalar "
-                "observers; use on_joined_batch"
+                "observers; feed their rows through on_dns, on_server "
+                "and on_http"
             )
         if count < 0:
             raise MeasurementError("joined count cannot be negative")
         self._joined_count += count
-
-    def merge(self, other: "BeaconBackend") -> "BeaconBackend":
-        """Fold another backend's join state into this one (in place).
-
-        Joined-row counts add up; still-pending partials carry over so a
-        merged backend reports the combined outstanding joins.  Observers
-        are *not* merged — rows already emitted on ``other`` stay emitted
-        there.
-
-        Raises:
-            MeasurementError: if both backends hold a partial for the
-                same measurement id (shards must use disjoint id spaces
-                if their partials are ever merged).
-        """
-        overlap = self._partials.keys() & other._partials.keys()
-        if overlap:
-            raise MeasurementError(
-                f"cannot merge backends with overlapping pending "
-                f"measurements (e.g. {sorted(overlap)[0]!r})"
-            )
-        self._partials.update(other._partials)
-        self._joined_count += other._joined_count
-        return self
 
     def _maybe_emit(self, measurement_id: str, partial: _Partial) -> None:
         if not partial.complete():

@@ -75,12 +75,6 @@ class SidecarStats:
             "sidecar_fallbacks": self.fallbacks,
         }
 
-    def reset(self) -> None:
-        """Zero all counters."""
-        self.hits = 0
-        self.rebuilds = 0
-        self.fallbacks = 0
-
 
 #: The process-wide counters behind ``columnar.sidecar_*`` manifests.
 SIDECAR_STATS = SidecarStats()
@@ -89,11 +83,6 @@ SIDECAR_STATS = SidecarStats()
 def sidecar_stats() -> Dict[str, int]:
     """A copy of the current process-wide sidecar counters."""
     return SIDECAR_STATS.as_dict()
-
-
-def reset_sidecar_stats() -> None:
-    """Zero the process-wide sidecar counters (tests, benchmarks)."""
-    SIDECAR_STATS.reset()
 
 
 def _trace_sidecar(event: str, export_path: str, **args: Any) -> None:

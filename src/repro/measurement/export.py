@@ -50,7 +50,7 @@ from repro.measurement.storage import (
     read_segment_text,
     write_segment_file,
 )
-from repro.measurement.validate import RECORD_SCHEMA_VERSION
+from repro.measurement.validate import RECORD_SCHEMA_VERSION, validate_dataset
 from repro.telemetry import get_logger
 from repro.net.ip import IPv4Prefix
 from repro.simulation.clock import SimulationCalendar
@@ -368,13 +368,19 @@ class DatasetRecovery:
 def _dataset_from_frames(
     frames: List[Dict[str, Any]], report: RecoveryReport
 ) -> Tuple[StudyDataset, DatasetRecovery]:
-    """Assemble a dataset from decoded frames.
+    """Assemble a dataset from decoded frames and gate it strictly.
+
+    Frames pass their CRC checks whatever values they carry, so the
+    assembled dataset goes through :func:`validate_dataset` under the
+    strict policy before any caller sees it.
 
     Raises:
         MeasurementError: on a missing/unknown header format version, or
             a header or frame missing a required field.
         StorageError: when the salvageable frames cannot anchor a
             dataset at all (no header, or client chunks missing).
+        ValidationError: when a sample or diff row fails the record
+            schema (negative, non-finite or implausible RTT).
     """
     if not frames or frames[0].get("kind") != "header":
         raise StorageError(
@@ -509,11 +515,12 @@ def _dataset_from_frames(
             covered_ranges=covered,
             load_summary=header["load_summary"],
         )
-        return dataset, recovery
     except KeyError as error:
         raise MeasurementError(
             f"malformed dataset export: missing field {error}"
         ) from error
+    validate_dataset(dataset, "strict")
+    return dataset, recovery
 
 
 # ----------------------------------------------------------------------
@@ -573,9 +580,11 @@ def load_dataset(path_or_file: Union[str, IO[str]]) -> StudyDataset:
     """Read a framed dataset export (path or open text stream).
 
     Strict: a damaged export raises :class:`StorageError` (use
-    :func:`recover_dataset` to salvage), and input that is not a framed
+    :func:`recover_dataset` to salvage), input that is not a framed
     export at all, carries no or another format version, or lacks a
-    required header field raises a clear :class:`MeasurementError`.
+    required header field raises a clear :class:`MeasurementError`, and
+    a framed parse whose samples fail the record schema raises
+    :class:`repro.errors.ValidationError`.
 
     Loads from a path first try the columnar sidecar
     (:mod:`repro.measurement.columnar`): when one exists and its
@@ -634,6 +643,7 @@ def recover_dataset(
             (it does not begin with a frame length prefix).
         StorageError: when not even a header + client frames survived —
             there is no dataset to anchor.
+        ValidationError: when a surviving sample fails the record schema.
     """
     text, source = _read_framed_text(path_or_file)
     frames, report = read_segment_text(text, strict=False, source=source)

@@ -426,11 +426,6 @@ class LatencySketch:
             raise AnalysisError("empty sketch has no maximum")
         return self._max
 
-    def sum_estimate(self) -> float:
-        """Approximate sum (float accumulation order varies; diagnostic
-        only — deliberately excluded from :meth:`digest`)."""
-        return self._sum
-
     def _ordered_buckets(self) -> List[Tuple[float, int]]:
         """(representative, count) pairs in ascending value order."""
         if self._ordered is None:

@@ -19,6 +19,10 @@ passes through a :class:`ValidationGate` holding one of three policies:
   plausibility ceiling) and annotate them in the quarantine log;
   unrepairable records (NaN, truncation markers) still drop.
 
+A dataset parsed back off disk always meets the strict policy
+(:func:`validate_dataset`, called by the framed parse in
+:mod:`repro.measurement.export`).
+
 The gate is deliberately deterministic and order-free: whether a record
 is admitted depends only on its value, never on neighbors or arrival
 order, so a sharded campaign quarantines bit-identically to a serial
@@ -500,7 +504,7 @@ def validate_dataset(
     policy: "ValidationPolicy | str" = ValidationPolicy.LENIENT,
     quarantine: Optional[QuarantineLog] = None,
 ) -> Tuple[ValidationGate, int]:
-    """Validate a dataset at a load/merge boundary, in place.
+    """Validate a dataset in place (the framed-parse load boundary).
 
     Scans every latency sample in both aggregate sinks and every
     request-diff row for schema violations, applying the policy (strict
@@ -508,6 +512,9 @@ def validate_dataset(
     the campaign gates produce — pass untouched, so round-trips are
     exact; the scan exists for data that arrived from *outside* a gate:
     hand-edited exports, foreign files, bit rot that survived framing.
+    Every framed parse (:func:`repro.measurement.export.load_dataset`
+    without a fresh sidecar, and ``recover_dataset``) runs it under the
+    strict policy.
 
     Returns ``(gate, removed)`` where ``removed`` is how many samples
     were dropped from the dataset.

@@ -6,9 +6,12 @@ day and client /24:
 * production queries are served over the client's current anycast route
   (churn state) and logged passively (front-end counts — §3.2.1);
 * a volume-proportional number of beacon sessions run, each measuring the
-  anycast target plus three unicast front-ends (§3.2.2–3.3); the three
-  log streams flow through :class:`repro.measurement.backend.BeaconBackend`
-  whose joined rows feed the ECS- and LDNS-grouped aggregates;
+  anycast target plus three unicast front-ends (§3.2.2–3.3), and feed the
+  ECS- and LDNS-grouped aggregates: the reference engine's three log
+  streams join in :class:`repro.measurement.backend.BeaconBackend`,
+  while the batched engines synthesize rows already joined, write them
+  to the aggregates directly, and count them with
+  :meth:`~repro.measurement.backend.BeaconBackend.count_joined_bulk`;
 * per-session, the anycast minus best-unicast difference is recorded for
   Fig 3.
 
@@ -77,7 +80,7 @@ from repro.measurement.sketch import (
     MIN_MAX_BUCKETS,
 )
 from repro.telemetry.memory import peak_rss_bytes
-from repro.measurement.backend import BeaconBackend, JoinedBatch, JoinedSegment
+from repro.measurement.backend import BeaconBackend
 from repro.measurement.beacon import BeaconConfig, BeaconRunner, BeaconTargetSelector
 from repro.measurement.logs import HttpLogEntry, JoinedMeasurement, PassiveLog
 from repro.measurement.validate import (
@@ -849,16 +852,6 @@ class _PathCache:
             "unicast baselines computed from routing + latency model",
         )
 
-    @property
-    def stats(self) -> PathCacheStats:
-        """The public counter view (values live in the registry)."""
-        return PathCacheStats(
-            anycast_hits=int(self._anycast_hits.value),
-            anycast_misses=int(self._anycast_misses.value),
-            unicast_hits=int(self._unicast_hits.value),
-            unicast_misses=int(self._unicast_misses.value),
-        )
-
     def _static_offset(self, client_key: str, path_key: str, anycast: bool) -> float:
         scenario = self._scenario
         return scenario.latency_model.static_offset_from_seed(
@@ -997,7 +990,7 @@ def _synthesize_rtts(
     anycast_fixed1,
     unicast_fixed: np.ndarray,
     overhead_rows: Optional[np.ndarray],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Synthesize RTT rows from the counter streams.
 
     The single draw path both batched engines share: every random term —
@@ -1024,9 +1017,8 @@ def _synthesize_rtts(
             the measurement-overhead term, or ``None`` for none.
 
     Returns:
-        ``(on_first_rank, pick_indices, rtts)`` — the rank mask, the
-        ``(rows, picks)`` pool-index matrix, and the rounded
-        ``(rows, 2 + picks)`` RTT matrix.
+        ``(pick_indices, rtts)`` — the ``(rows, picks)`` pool-index
+        matrix and the rounded ``(rows, 2 + picks)`` RTT matrix.
     """
     cfg = latency_config
     n = int(row_gids.shape[0])
@@ -1128,7 +1120,7 @@ def _synthesize_rtts(
     # Browser timing APIs report integer milliseconds (same rounding
     # the reference engine applies per fetch).
     rtts = np.rint(fixed + jitter)
-    return on_first, pick_indices, rtts
+    return pick_indices, rtts
 
 
 class _ReferenceBeaconEngine:
@@ -1298,9 +1290,13 @@ class _VectorizedBeaconEngine:
     * per-target fixed components (cached path baseline + persistent
       offset + daily congestion offset + episode inflation) assemble into
       a ``(B, T)`` base matrix that the jitter adds onto;
-    * results flow into the sinks through the bulk APIs
-      (:meth:`BeaconBackend.on_joined_batch`,
-      :meth:`RequestDiffLog.observe_many`) — no per-sample Python calls.
+    * results flow into the sinks the way the matrix engine writes
+      them — :meth:`GroupedDailyAggregates.observe_many` per (client or
+      resolver, target) cell, one :meth:`RequestDiffLog.observe_columns`
+      per block with the client index and region code repeated, and
+      :meth:`BeaconBackend.count_joined_bulk` for the admitted cells —
+      but through this engine's own per-client code, so the oracle
+      shares no sink code with the engine it checks.
 
     Because every draw is a pure per-coordinate function, the engine is
     deterministic per seed and bit-identical across serial, sharded, and
@@ -1326,22 +1322,13 @@ class _VectorizedBeaconEngine:
         resource_timing: Dict[str, bool],
         telemetry: Telemetry,
     ) -> None:
-        def on_joined_batch(batch: JoinedBatch) -> None:
-            for segment in batch.segments:
-                ecs_aggregates.observe_many(
-                    batch.day, batch.client_key,
-                    segment.target_id, segment.rtts_ms,
-                )
-                ldns_aggregates.observe_many(
-                    batch.day, batch.ldns_id,
-                    segment.target_id, segment.rtts_ms,
-                )
-
-        self.backend = BeaconBackend(batch_observers=(on_joined_batch,))
+        self.backend = BeaconBackend()
         self._selector = selector
         self._paths = paths
         self._beacon_config = beacon_config
         self._request_diffs = request_diffs
+        self._ecs = ecs_aggregates
+        self._ldns = ldns_aggregates
         self._gate = gate
         self._regions = regions
         self._resource_timing = resource_timing
@@ -1399,12 +1386,10 @@ class _VectorizedBeaconEngine:
         )[0]
 
         # Anycast fixed component per possible session rank (1 or 2).
-        rank_frontends: List[str] = []
-        rank_fixed: List[float] = []
-        for rank in plan.ranks:
-            frontend_id, baseline = self._paths.anycast(key, rank)
-            rank_frontends.append(frontend_id)
-            rank_fixed.append(baseline + anycast_extra_ms)
+        rank_fixed = [
+            self._paths.anycast(key, rank)[1] + anycast_extra_ms
+            for rank in plan.ranks
+        ]
         dual_rank = len(plan.ranks) > 1
         # With frac0 pinned to 1.0, the rank draw (strictly below 1)
         # always lands on the first rank — single-rank days cost no
@@ -1451,13 +1436,11 @@ class _VectorizedBeaconEngine:
                 client_index,
                 self._regions[key],
                 self._resource_timing[key],
-                dual_rank,
                 frac0,
                 anycast_fixed0,
                 anycast_fixed1,
                 unicast_fixed,
                 log_weights,
-                rank_frontends,
                 closest,
                 pool,
                 pool_size,
@@ -1480,13 +1463,11 @@ class _VectorizedBeaconEngine:
         client_index: int,
         region: str,
         resource_timing_supported: bool,
-        dual_rank: bool,
         frac0: float,
         anycast_fixed0: float,
         anycast_fixed1: float,
         unicast_fixed: np.ndarray,
         log_weights: Optional[np.ndarray],
-        rank_frontends: List[str],
         closest: str,
         pool: Tuple[str, ...],
         pool_size: int,
@@ -1504,7 +1485,7 @@ class _VectorizedBeaconEngine:
         overhead_rows = (
             None if resource_timing_supported else np.arange(beacons)
         )
-        on_first_rank, pick_indices, rtts = _synthesize_rtts(
+        pick_indices, rtts = _synthesize_rtts(
             self._latency.config,
             self._beacon_config,
             self._layout,
@@ -1519,12 +1500,6 @@ class _VectorizedBeaconEngine:
             unicast_fixed,
             overhead_rows,
         )
-        if not dual_rank:
-            on_first_rank = None
-        if picks:
-            picked_pool_indices = np.unique(pick_indices)
-        else:
-            picked_pool_indices = np.empty(0, dtype=np.intp)
 
         if dirty_slots:
             # Record faults land on flat b * T + t slots — the same
@@ -1541,75 +1516,59 @@ class _VectorizedBeaconEngine:
 
         admit = self._gate.admit_matrix(day, key, rtts, beacon_start)
         if admit is None:
-            # Every cell valid (the overwhelmingly common case): the
-            # original zero-copy bulk path.
-            best_unicast = rtts[:, 1:].min(axis=1)
-            self._request_diffs.observe_many(
-                day, client_index, region, rtts[:, 0], best_unicast
-            )
+            # Every cell valid (the overwhelmingly common case).
+            joined = beacons * targets
+            anycast_col = rtts[:, 0]
+            closest_col = rtts[:, 1]
+            diff_anycast = anycast_col
+            diff_best = rtts[:, 1:].min(axis=1)
         else:
+            joined = int(admit.sum())
+            anycast_col = rtts[admit[:, 0], 0]
+            closest_col = rtts[admit[:, 1], 1]
             # A session contributes a diff row only when its anycast
             # fetch and at least one unicast fetch were admitted — the
             # same rule the reference engine's per-fetch tracking
             # applies.
             row_ok = admit[:, 0] & admit[:, 1:].any(axis=1)
-            if row_ok.any():
-                best_unicast = np.where(
-                    admit[:, 1:], rtts[:, 1:], np.inf
-                ).min(axis=1)
-                self._request_diffs.observe_many(
-                    day,
-                    client_index,
-                    region,
-                    rtts[row_ok, 0],
-                    best_unicast[row_ok],
-                )
+            diff_anycast = rtts[row_ok, 0]
+            diff_best = np.where(
+                admit[:, 1:], rtts[:, 1:], np.inf
+            ).min(axis=1)[row_ok]
+        self.backend.count_joined_bulk(joined)
+        diff_rows = diff_anycast.shape[0]
+        if diff_rows:
+            diffs = self._request_diffs
+            diffs.observe_columns(
+                day,
+                np.full(diff_rows, client_index, dtype=np.int32),
+                np.full(diff_rows, diffs.region_code(region), dtype=np.int8),
+                diff_anycast,
+                diff_best,
+            )
 
-        segments: List[JoinedSegment] = []
-
-        def add_segment(
-            target_id: str, frontend_id: str, values: np.ndarray
-        ) -> None:
+        ecs = self._ecs
+        ldns_aggregates = self._ldns
+        for target_id, values in (
+            (ANYCAST_TARGET, anycast_col),
+            (closest, closest_col),
+        ):
             if values.size:
-                segments.append(
-                    JoinedSegment(target_id, frontend_id, values)
-                )
-
-        anycast_ok = (
-            np.ones(beacons, dtype=bool) if admit is None else admit[:, 0]
-        )
-        if on_first_rank is None:
-            add_segment(
-                ANYCAST_TARGET, rank_frontends[0], rtts[anycast_ok, 0]
-            )
-        else:
-            for rank_position, mask in ((0, on_first_rank), (1, ~on_first_rank)):
-                add_segment(
-                    ANYCAST_TARGET,
-                    rank_frontends[rank_position],
-                    rtts[mask & anycast_ok, 0],
-                )
-        if admit is None:
-            add_segment(closest, closest, rtts[:, 1])
-        else:
-            add_segment(closest, closest, rtts[admit[:, 1], 1])
-        if picks:
-            pick_rtts = rtts[:, 2:]
-            pick_ok = None if admit is None else admit[:, 2:]
-            for pool_index in picked_pool_indices:
+                ecs.observe_many(day, key, target_id, values)
+                ldns_aggregates.observe_many(day, ldns_id, target_id, values)
+        if not picks:
+            return
+        pick_rtts = rtts[:, 2:]
+        pick_ok = None if admit is None else admit[:, 2:]
+        for pool_index in np.unique(pick_indices):
+            selected = pick_indices == pool_index
+            if pick_ok is not None:
+                selected &= pick_ok
+            values = pick_rtts[selected]
+            if values.size:
                 target_id = pool[pool_index]
-                selected = pick_indices == pool_index
-                if pick_ok is not None:
-                    selected = selected & pick_ok
-                add_segment(target_id, target_id, pick_rtts[selected])
-        self.backend.on_joined_batch(
-            JoinedBatch(
-                day=day,
-                client_key=key,
-                ldns_id=ldns_id,
-                segments=tuple(segments),
-            )
-        )
+                ecs.observe_many(day, key, target_id, values)
+                ldns_aggregates.observe_many(day, ldns_id, target_id, values)
 
 
 class _MatrixGroup:
@@ -1986,7 +1945,7 @@ class _MatrixBeaconEngine:
             if group.log_weights is not None
             else None
         )
-        on_first, pick_indices, rtts = _synthesize_rtts(
+        pick_indices, rtts = _synthesize_rtts(
             self._latency.config,
             self._beacon_config,
             self._layout,

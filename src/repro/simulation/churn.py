@@ -156,10 +156,6 @@ class RouteChurnModel:
         """Distinct-ingress egress ranks available to a client."""
         return self._variants[client_key]
 
-    def is_unstable(self, client_key: str) -> bool:
-        """Whether the client is in the actively churning class."""
-        return self._unstable[client_key]
-
     def unstable_fraction_overall(self) -> float:
         """Fraction of all clients classified unstable (diagnostic)."""
         if not self._unstable:

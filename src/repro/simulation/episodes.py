@@ -425,7 +425,3 @@ class CompiledOverloadPlan:
     def empty(self) -> bool:
         """True when nothing is scheduled."""
         return not self.events
-
-    def events_on(self, day: int) -> Tuple[OverloadEvent, ...]:
-        """The events live on a calendar day, in compiled order."""
-        return tuple(e for e in self.events if e.active_on(day))

@@ -60,7 +60,6 @@ from repro.telemetry.trace import (
     TraceLog,
     active_trace,
     format_trace_report,
-    merge_trace_logs,
     set_active_trace,
 )
 
@@ -94,7 +93,6 @@ __all__ = [
     "get_logger",
     "host_fingerprint",
     "manifest_path_for",
-    "merge_trace_logs",
     "peak_rss_bytes",
     "record_from_snapshot",
     "set_active_trace",

@@ -222,17 +222,6 @@ class BenchHistory:
             grouped.setdefault(record.group_key(), []).append(record)
         return grouped
 
-    def baseline_for(
-        self, record: PerfRecord, window: int = DEFAULT_BASELINE_WINDOW
-    ) -> List[PerfRecord]:
-        """The rolling baseline: up to ``window`` prior group records."""
-        prior = [
-            other
-            for other in self.records
-            if other is not record and other.group_key() == record.group_key()
-        ]
-        return prior[-window:]
-
 
 @dataclass(frozen=True)
 class ComparisonResult:

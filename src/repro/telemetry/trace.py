@@ -617,14 +617,3 @@ def set_active_trace(trace: Optional[TraceLog]) -> None:
 def active_trace() -> Optional[TraceLog]:
     """The process-wide default trace log, if one is installed."""
     return _active_trace
-
-
-def merge_trace_logs(logs: Iterable[TraceLog]) -> Optional[TraceLog]:
-    """Merge logs into a copy of the first; ``None`` for no logs."""
-    merged: Optional[TraceLog] = None
-    for log in logs:
-        if merged is None:
-            merged = log.copy()
-        else:
-            merged.merge(log)
-    return merged

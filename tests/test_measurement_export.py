@@ -1,18 +1,26 @@
 """Round-trip tests for dataset persistence."""
 
+import base64
 import io
 
+import numpy as np
 import pytest
 
-from repro.errors import MeasurementError
+from repro.cli import main
+from repro.clients.population import ClientPopulationConfig
+from repro.errors import MeasurementError, ValidationError
 from repro.analysis.poor_paths import poor_path_prevalence
 from repro.analysis.prediction_eval import evaluate_prediction
 from repro.measurement.export import (
     _dataset_frames,
     load_dataset,
+    recover_dataset,
     save_dataset,
 )
-from repro.measurement.storage import write_segment_file
+from repro.measurement.storage import read_segment_text, write_segment_file
+from repro.simulation.campaign import CampaignConfig, CampaignRunner
+from repro.simulation.clock import SimulationCalendar
+from repro.simulation.scenario import Scenario, ScenarioConfig
 
 
 def _framed_stream(frames):
@@ -158,3 +166,44 @@ def test_aggregate_serialization_round_trip_property(samples):
             (g, t, d.values()) for g, t, d in after.iter_day(day)
         )
         assert before_rows == after_rows
+
+
+def test_framed_parse_rejects_a_crc_valid_negative_sample(tmp_path, capsys):
+    """The framed-parse load boundary gates values, not just CRCs.
+
+    One aggregates frame of a saved export is rewritten, with a valid
+    CRC, to carry a -5.0 ms sample.  Both framed parses (``load_dataset``
+    re-parses because the file's fingerprint no longer matches its
+    sidecar, and ``recover_dataset``) fail strictly, and ``repro
+    analyze`` prints one error line and exits 2.
+    """
+    scenario = Scenario.build(
+        ScenarioConfig(
+            seed=7,
+            population=ClientPopulationConfig(prefix_count=20),
+            calendar=SimulationCalendar(num_days=1),
+        )
+    )
+    path = str(tmp_path / "export.json")
+    save_dataset(
+        CampaignRunner(scenario, CampaignConfig(engine="matrix")).run(), path
+    )
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        frames, _ = read_segment_text(handle.read(), strict=True)
+    frame = next(f for f in frames if f.get("kind") == "aggregates")
+    group, target_id, payload = frame["rows"][0]
+    values = np.frombuffer(base64.b64decode(payload), dtype=np.float64)
+    poisoned = np.append(values, -5.0)
+    frame["rows"][0] = [
+        group, target_id, base64.b64encode(poisoned.tobytes()).decode("ascii")
+    ]
+    write_segment_file(path, frames)
+
+    with pytest.raises(ValidationError, match="negative-rtt"):
+        load_dataset(path)
+    with pytest.raises(ValidationError, match="negative-rtt"):
+        recover_dataset(path)
+    capsys.readouterr()
+    assert main(["analyze", path, "--figures", "fig3"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid record")

@@ -11,8 +11,7 @@ import pytest
 from repro.errors import ConfigurationError, MeasurementError
 from repro.clients.population import ClientPopulationConfig
 from repro.measurement.aggregate import GroupedDailyAggregates, RequestDiffLog
-from repro.measurement.backend import BeaconBackend
-from repro.measurement.logs import HttpLogEntry, PassiveLog
+from repro.measurement.logs import PassiveLog
 from repro.simulation.campaign import CampaignConfig, CampaignRunner, CampaignStats
 from repro.simulation.clock import SimulationCalendar
 from repro.simulation.parallel import (
@@ -183,27 +182,6 @@ class TestMergePassive:
         b.record(1, "p1", "fe-a", 2)
         a.merge(b)
         assert a.days == (1,)
-
-
-class TestMergeBackend:
-    def test_counts_and_pending_combine(self):
-        a = BeaconBackend()
-        b = BeaconBackend()
-        a.on_dns("m1", "ldns-1", "anycast")
-        a.on_server("m1", "fe-a")
-        a.on_http(HttpLogEntry(0, "m1", "p1", 12.0, True))
-        b.on_dns("m2", "ldns-1", "anycast")  # still pending
-        a.merge(b)
-        assert a.joined_count == 1
-        assert a.pending_count == 1
-
-    def test_overlapping_partials_rejected(self):
-        a = BeaconBackend()
-        b = BeaconBackend()
-        a.on_dns("m1", "ldns-1", "anycast")
-        b.on_dns("m1", "ldns-2", "anycast")
-        with pytest.raises(MeasurementError):
-            a.merge(b)
 
 
 class TestDatasetMerge:

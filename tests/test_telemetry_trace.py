@@ -37,7 +37,6 @@ from repro.telemetry.trace import (
     TraceEvent,
     TraceLog,
     format_trace_report,
-    merge_trace_logs,
 )
 
 SETTINGS = settings(
@@ -75,12 +74,12 @@ def test_merge_is_order_insensitive(order):
     """
     logs = {shard: make_shard_log(shard) for shard in range(4)}
 
-    serial = merge_trace_logs(
-        [TraceLog(origin=99.0)] + [logs[shard].copy() for shard in range(4)]
-    )
-    shuffled = merge_trace_logs(
-        [TraceLog(origin=99.0)] + [logs[shard].copy() for shard in order]
-    )
+    serial = TraceLog(origin=99.0)
+    for shard in range(4):
+        serial.merge(logs[shard].copy())
+    shuffled = TraceLog(origin=99.0)
+    for shard in order:
+        shuffled.merge(logs[shard].copy())
 
     assert shuffled.canonical() == serial.canonical()
     assert shuffled.digest() == serial.digest()
@@ -138,7 +137,8 @@ def test_digest_ignores_ops_and_sums_data():
     serial = TraceLog(origin=3.0)
     serial.data("engine.day", "engine", index=0, beacons=42)
 
-    merged = merge_trace_logs([a, b])
+    merged = a.copy()
+    merged.merge(b)
     # Ops events and lanes differ, but data totals agree -> same digest.
     assert merged.digest() == serial.digest()
 
@@ -178,7 +178,9 @@ def test_from_obj_rejects_unknown_version():
 
 
 def test_perfetto_round_trip():
-    merged = merge_trace_logs([make_shard_log(shard) for shard in range(3)])
+    merged = make_shard_log(0).copy()
+    for shard in (1, 2):
+        merged.merge(make_shard_log(shard))
     merged.instant("checkpoint.saved", "checkpoint", shard=MAIN_LANE)
 
     obj = merged.to_perfetto_obj()
@@ -249,7 +251,8 @@ def test_snapshot_carries_and_merges_trace():
 
 
 def test_format_trace_report_shape():
-    merged = merge_trace_logs([make_shard_log(shard) for shard in range(2)])
+    merged = make_shard_log(0).copy()
+    merged.merge(make_shard_log(1))
     report = format_trace_report(merged)
     assert "== trace timeline ==" in report
     assert "shard 0" in report and "shard 1" in report

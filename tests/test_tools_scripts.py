@@ -39,3 +39,31 @@ def test_diagnose_sources_runs(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["diagnose_sources.py"])
     runpy.run_path("tools/diagnose_sources.py", run_name="__main__")
     assert "overall" in capsys.readouterr().out
+
+
+def test_claims_gate_flags_drift_both_ways(monkeypatch):
+    """``make_experiments.py --check`` fails on any change to the set of
+    out-of-band claims: a claim leaving its band, or a known deviation
+    coming back into it."""
+    import dataclasses
+
+    # Restoring sys.path at teardown also drops the tool's own insert.
+    monkeypatch.syspath_prepend("benchmarks")
+    tool = runpy.run_path("tools/make_experiments.py")
+    row = tool["ComparisonRow"]
+    claim_drift = tool["claim_drift"]
+    rows = [
+        row(experiment, metric, "", "", False)
+        for experiment, metric in sorted(tool["EXPECTED_DEVIATIONS"])
+    ]
+    rows += [row("Fig 3", "held", "", "", True), row("§4", "info", "", "", None)]
+    assert claim_drift(rows) == []
+
+    left = rows + [row("Fig 9", "moved", "", "", False)]
+    assert claim_drift(left) == ["claim left its band: Fig 9 'moved'"]
+
+    fixed = [dataclasses.replace(rows[0], within_band=True)] + rows[1:]
+    assert claim_drift(fixed) == [
+        "known deviation no longer out of band: "
+        f"{rows[0].experiment} {rows[0].metric!r}"
+    ]

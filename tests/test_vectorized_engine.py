@@ -27,7 +27,6 @@ from repro.measurement.aggregate import (
     LatencyDigest,
     RequestDiffLog,
 )
-from repro.measurement.backend import BeaconBackend, JoinedBatch, JoinedSegment
 from repro.simulation.campaign import CampaignConfig, CampaignRunner
 from repro.simulation.clock import SimulationCalendar
 from repro.simulation.parallel import ParallelCampaignRunner
@@ -350,43 +349,26 @@ class TestBulkSinks:
         aggregate.observe_many(0, "g", "anycast", np.empty(0))
         assert aggregate.days == ()
 
-    def test_diff_log_observe_many_matches_scalar(self):
+    def test_diff_log_observe_columns_matches_scalar(self):
         bulk = RequestDiffLog()
         scalar = RequestDiffLog()
         anycast = np.array([30.0, 45.0])
         unicast = np.array([20.0, 50.0])
-        bulk.observe_many(2, 7, "europe", anycast, unicast)
+        bulk.observe_columns(
+            2,
+            np.full(2, 7),
+            np.full(2, bulk.region_code("europe")),
+            anycast,
+            unicast,
+        )
         for a, b in zip(anycast, unicast):
             scalar.observe(2, 7, "europe", float(a), float(b))
         assert list(bulk.rows()) == list(scalar.rows())
 
-    def test_diff_log_observe_many_rejects_mismatched_lengths(self):
+    def test_diff_log_observe_columns_rejects_mismatched_lengths(self):
         log = RequestDiffLog()
+        code = log.region_code("europe")
         with pytest.raises(MeasurementError):
-            log.observe_many(0, 0, "europe", np.zeros(2), np.zeros(3))
-
-    def test_joined_batch_feeds_both_observer_kinds(self):
-        rows = []
-        batches = []
-        backend = BeaconBackend(
-            observers=[rows.append], batch_observers=[batches.append]
-        )
-        batch = JoinedBatch(
-            day=1,
-            client_key="10.0.0.0/24",
-            ldns_id="ldns-1",
-            segments=(
-                JoinedSegment("anycast", "fe-a", np.array([12.0, 14.0])),
-                JoinedSegment("fe-b", "fe-b", np.array([20.0])),
-            ),
-        )
-        assert batch.count == 3
-        backend.on_joined_batch(batch)
-        assert backend.joined_count == 3
-        assert backend.pending_count == 0
-        assert batches == [batch]
-        assert [row.rtt_ms for row in rows] == [12.0, 14.0, 20.0]
-        assert rows[0].target_id == "anycast"
-        assert rows[0].frontend_id == "fe-a"
-        assert rows[2].ldns_id == "ldns-1"
-
+            log.observe_columns(
+                0, np.zeros(2), np.full(2, code), np.zeros(2), np.zeros(3)
+            )

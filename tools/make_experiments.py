@@ -1,15 +1,44 @@
-"""Regenerate EXPERIMENTS.md from a paper-scale study run."""
+"""Regenerate EXPERIMENTS.md from a paper-scale study run.
+
+``python tools/make_experiments.py`` runs the paper-scale study
+(``paper_config()``: 1500 /24s x 28 days, seed 2015) on the default
+engine and rewrites EXPERIMENTS.md.
+
+``python tools/make_experiments.py --check`` is the paper-claims gate:
+it runs the same study on the matrix engine, prints the comparison
+table, writes nothing, and exits 1 when the set of banded claims outside
+their band differs from ``EXPECTED_DEVIATIONS`` — a claim that leaves
+its band fails, and so does a known deviation that starts to reproduce.
+"""
 
 from __future__ import annotations
 
+import argparse
 import sys
 import time
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 sys.path.insert(0, "benchmarks")
 from conftest import PAPER_DAYS, PAPER_PREFIXES, paper_config  # noqa: E402
 
-from repro.analysis.report import build_comparison, format_markdown
+from repro.analysis.report import (
+    ComparisonRow,
+    build_comparison,
+    format_markdown,
+)
 from repro.core.study import AnycastStudy
+from repro.simulation.campaign import CampaignConfig
+
+#: Banded claims known to sit outside their band at paper scale, keyed
+#: by (experiment, metric); "Known deviations" in EXPERIMENTS.md says
+#: why.
+EXPECTED_DEVIATIONS: FrozenSet[Tuple[str, str]] = frozenset(
+    {
+        ("Fig 5", "mean daily fraction of /24s with any improvement"),
+        ("Fig 6", "ever-poor /24s poor on exactly one day"),
+        ("Fig 6", "ever-poor /24s poor >=5 consecutive days"),
+    }
+)
 
 HEADER = """# EXPERIMENTS — paper vs measured
 
@@ -83,7 +112,68 @@ rows/series into ``benchmarks/out/``:
 """
 
 
-def main() -> None:
+def claim_drift(rows: Sequence[ComparisonRow]) -> List[str]:
+    """How the out-of-band claims differ from the known deviations.
+
+    One line per banded claim that left its band and per known
+    deviation that is no longer out of band; empty when the two sets
+    agree.
+    """
+    deviating = {
+        (row.experiment, row.metric)
+        for row in rows
+        if row.within_band is False
+    }
+    return [
+        f"claim left its band: {experiment} {metric!r}"
+        for experiment, metric in sorted(deviating - EXPECTED_DEVIATIONS)
+    ] + [
+        f"known deviation no longer out of band: {experiment} {metric!r}"
+        for experiment, metric in sorted(EXPECTED_DEVIATIONS - deviating)
+    ]
+
+
+def _summary(rows: Sequence[ComparisonRow]) -> Tuple[int, int]:
+    reproduced = sum(1 for r in rows if r.within_band)
+    banded = sum(1 for r in rows if r.within_band is not None)
+    return reproduced, banded
+
+
+def check() -> int:
+    """Gate the paper claims on a matrix-engine paper-scale study."""
+    study = AnycastStudy(paper_config(), CampaignConfig(engine="matrix"))
+    started = time.time()
+    study.dataset
+    print(f"campaign: {time.time() - started:.1f}s", file=sys.stderr)
+    started = time.time()
+    rows = build_comparison(study)
+    print(f"comparison: {time.time() - started:.1f}s", file=sys.stderr)
+    print(format_markdown(rows))
+    reproduced, banded = _summary(rows)
+    print(f"\n{reproduced}/{banded} banded claims reproduced")
+    drift = claim_drift(rows)
+    for line in drift:
+        print(f"FAIL: {line}")
+    if drift:
+        return 1
+    print(f"ok: exactly the {len(EXPECTED_DEVIATIONS)} known deviations")
+    return 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Regenerate EXPERIMENTS.md, or gate the paper claims."
+    )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="run the study on the matrix engine, print the comparison "
+        "and exit 1 unless exactly the known deviations are out of band; "
+        "writes nothing",
+    )
+    args = parser.parse_args(argv)
+    if args.check:
+        return check()
     config = paper_config()
     study = AnycastStudy(config)
     started = time.time()
@@ -98,15 +188,15 @@ def main() -> None:
         seed=config.seed,
     )
     body = format_markdown(rows)
-    reproduced = sum(1 for r in rows if r.within_band)
-    banded = sum(1 for r in rows if r.within_band is not None)
+    reproduced, banded = _summary(rows)
     summary = (
         f"\n**Summary: {reproduced}/{banded} banded claims reproduced.**\n"
     )
     with open("EXPERIMENTS.md", "w", encoding="utf-8") as handle:
         handle.write(header + body + summary + DISCUSSION)
     print(f"wrote EXPERIMENTS.md ({reproduced}/{banded} reproduced)")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
