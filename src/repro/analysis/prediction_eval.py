@@ -108,6 +108,9 @@ def evaluate_prediction(
     }
 
     ldns_of = {client.key: client.ldns_id for client in dataset.clients}
+    # The LDNS plane is derived from the ECS cells on each read: take
+    # one view for every day.
+    ldns_aggregates = dataset.ldns_aggregates if LDNS in groupings else None
 
     for prediction_day, evaluation_day in zip(days, days[1:]):
         if evaluation_day != prediction_day + 1:
@@ -117,9 +120,9 @@ def evaluate_prediction(
             predictions_by_grouping[ECS] = predictor.predict_day(
                 dataset.ecs_aggregates, prediction_day
             )
-        if LDNS in groupings:
+        if ldns_aggregates is not None:
             predictions_by_grouping[LDNS] = predictor.predict_day(
-                dataset.ldns_aggregates, prediction_day
+                ldns_aggregates, prediction_day
             )
 
         for client in dataset.clients:

@@ -28,7 +28,16 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -400,9 +409,11 @@ class LatencyDigest:
 class GroupedDailyAggregates:
     """day → group → target → :class:`LatencyDigest`.
 
-    One instance aggregates by ECS group (client /24), another by LDNS id;
-    the structure is identical, only the grouping key differs.  The nested
-    layout keeps per-group queries (``targets_for``) O(targets), which the
+    The sinks store one instance, grouped by ECS group (client /24).
+    Coarser groupings are derived from it rather than stored:
+    :meth:`regrouped` folds each /24's cells into its group's cells, which
+    is how the LDNS grouping (by resolver) is built.  The nested layout
+    keeps per-group queries (``targets_for``) O(targets), which the
     predictor calls once per group per day.
 
     ``exact_threshold``/``relative_accuracy`` configure the two-mode
@@ -615,16 +626,45 @@ class GroupedDailyAggregates:
                 "configurations"
             )
         for day, per_day in other._days.items():
-            mine_day = self._days.setdefault(day, {})
             for group, per_group in per_day.items():
-                mine_group = mine_day.setdefault(group, {})
-                for target_id, digest in per_group.items():
-                    mine = mine_group.get(target_id)
-                    if mine is None:
-                        mine_group[target_id] = digest.copy()
-                    else:
-                        mine.merge(digest)
+                self._fold(day, group, per_group)
         return self
+
+    def regrouped(
+        self, grouping: str, group_of: Callable[[str], str]
+    ) -> "GroupedDailyAggregates":
+        """A new instance holding every cell under ``group_of(group)``.
+
+        Each (day, group, target) cell folds into the (day,
+        ``group_of(group)``, target) cell the way :meth:`merge` folds
+        shards: exact cells concatenate, promoted cells merge
+        canonically, so a derived cell promotes exactly when its merged
+        count passes the threshold.  The result equals a sink that had
+        observed every sample under the coarser key; digests are copied,
+        never aliased.
+        """
+        result = GroupedDailyAggregates(
+            grouping,
+            exact_threshold=self._exact_threshold,
+            relative_accuracy=self._relative_accuracy,
+            max_buckets=self._max_buckets,
+        )
+        for day, per_day in self._days.items():
+            for group, per_group in per_day.items():
+                result._fold(day, group_of(group), per_group)
+        return result
+
+    def _fold(
+        self, day: int, group: str, per_group: Dict[str, LatencyDigest]
+    ) -> None:
+        """Copy or merge one group-day's digests into (day, group)."""
+        mine_group = self._days.setdefault(day, {}).setdefault(group, {})
+        for target_id, digest in per_group.items():
+            mine = mine_group.get(target_id)
+            if mine is None:
+                mine_group[target_id] = digest.copy()
+            else:
+                mine.merge(digest)
 
 
 @dataclass(frozen=True)

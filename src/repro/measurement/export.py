@@ -6,11 +6,14 @@ it take milliseconds.  These helpers serialize a
 once and analyzed many times — the same split the paper's backend
 storage provided.
 
-One on-disk format, the framed export (format version 3): a crash-safe
+One on-disk format, the framed export (format version 4): a crash-safe
 framed segment file (:mod:`repro.measurement.storage`) holding a header
-frame, client chunks, per-day aggregate and passive frames, request-diff
-chunks, and a footer, each line independently length- and CRC-verified,
-written via temp file + atomic rename.
+frame, client chunks, per-day ECS aggregate and passive frames,
+request-diff chunks, and a footer, each line independently length- and
+CRC-verified, written via temp file + atomic rename.  Each measurement
+is stored once, in its /24's ECS cell; the LDNS grouping is rebuilt from
+the client records on load
+(:attr:`~repro.simulation.dataset.StudyDataset.ldns_aggregates`).
 
 * The header records the calendar, counts, coverage, load summary and
   sketch configuration, so loads rebuild sinks in the right mode.
@@ -57,7 +60,7 @@ from repro.simulation.clock import SimulationCalendar
 from repro.simulation.dataset import StudyDataset
 
 #: Format marker of the framed exports this module writes and reads.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Client records per ``clients`` frame.
 _CLIENT_CHUNK = 500
@@ -245,7 +248,6 @@ def _dataset_frames(dataset: StudyDataset) -> Iterator[Dict[str, Any]]:
             else [[start, stop] for start, stop in dataset.covered_ranges]
         ),
         "ecs_grouping": ecs.grouping,
-        "ldns_grouping": dataset.ldns_aggregates.grouping,
         "client_count": len(clients),
         "client_chunks": client_chunks,
         "diff_chunks": diff_chunks,
@@ -273,23 +275,11 @@ def _dataset_frames(dataset: StudyDataset) -> Iterator[Dict[str, Any]]:
         }
     # Data frames are per day (and per diff chunk), so damage is
     # localized: a torn tail loses trailing days, not the whole file.
-    days = sorted(
-        set(dataset.ecs_aggregates.days)
-        | set(dataset.ldns_aggregates.days)
-        | set(dataset.passive.days)
-    )
-    for day in days:
+    for day in sorted(set(ecs.days) | set(dataset.passive.days)):
         yield {
             "kind": "aggregates",
-            "which": "ecs",
             "day": day,
-            "rows": _aggregate_day_rows(dataset.ecs_aggregates, day),
-        }
-        yield {
-            "kind": "aggregates",
-            "which": "ldns",
-            "day": day,
-            "rows": _aggregate_day_rows(dataset.ldns_aggregates, day),
+            "rows": _aggregate_day_rows(ecs, day),
         }
         if dataset.passive.is_bounded:
             yield {
@@ -422,12 +412,6 @@ def _dataset_from_frames(
             relative_accuracy=relative_accuracy,
             max_buckets=max_buckets,
         )
-        ldns = GroupedDailyAggregates(
-            header["ldns_grouping"],
-            exact_threshold=exact_threshold,
-            relative_accuracy=relative_accuracy,
-            max_buckets=max_buckets,
-        )
         passive = PassiveLog(bounded=bool(header["passive_bounded"]))
         diffs = RequestDiffLog(
             bounded=bool(header["diffs_bounded"]),
@@ -440,10 +424,7 @@ def _dataset_from_frames(
             if kind == "clients":
                 client_chunks[int(frame["index"])] = frame["rows"]
             elif kind == "aggregates":
-                target = ecs if frame["which"] == "ecs" else ldns
-                _apply_aggregate_rows(
-                    target, int(frame["day"]), frame["rows"]
-                )
+                _apply_aggregate_rows(ecs, int(frame["day"]), frame["rows"])
             elif kind == "passive":
                 _apply_passive_day(
                     passive, int(frame["day"]), frame["clients"]
@@ -503,7 +484,6 @@ def _dataset_from_frames(
             calendar=calendar,
             clients=clients,
             ecs_aggregates=ecs,
-            ldns_aggregates=ldns,
             request_diffs=diffs,
             passive=passive,
             beacon_count=int(header["beacon_count"]),

@@ -62,7 +62,8 @@ FOOTER_KIND = "footer"
 
 #: Format version every checkpoint header carries; a header with any
 #: other version reads as "not mine" (:func:`read_checkpoint`).
-CHECKPOINT_FORMAT_VERSION = 2
+#: Version 3 payloads hold ECS cells only (no stored LDNS plane).
+CHECKPOINT_FORMAT_VERSION = 3
 
 
 def format_frame(obj: Dict[str, Any]) -> str:

@@ -506,11 +506,12 @@ def validate_dataset(
 ) -> Tuple[ValidationGate, int]:
     """Validate a dataset in place (the framed-parse load boundary).
 
-    Scans every latency sample in both aggregate sinks and every
-    request-diff row for schema violations, applying the policy (strict
-    raise / lenient drop / repair clamp).  Valid datasets — everything
-    the campaign gates produce — pass untouched, so round-trips are
-    exact; the scan exists for data that arrived from *outside* a gate:
+    Scans every latency sample in the ECS aggregates (the LDNS grouping
+    is a view of them) and every request-diff row for schema
+    violations, applying the policy (strict raise / lenient drop /
+    repair clamp).  Valid datasets — everything the campaign gates
+    produce — pass untouched, so round-trips are exact; the scan
+    exists for data that arrived from *outside* a gate:
     hand-edited exports, foreign files, bit rot that survived framing.
     Every framed parse (:func:`repro.measurement.export.load_dataset`
     without a fresh sidecar, and ``recover_dataset``) runs it under the
@@ -521,51 +522,47 @@ def validate_dataset(
     """
     gate = ValidationGate(policy, quarantine=quarantine)
     removed = 0
-    for aggregates in (dataset.ecs_aggregates, dataset.ldns_aggregates):
-        for day in aggregates.days:
-            for group, target_id, digest in aggregates.iter_day(day):
-                if not digest.is_exact:
-                    # Sketch-mode digests retain no samples to rescan;
-                    # the campaign gates already validated them at
-                    # ingest.  Bucket keys derive from admitted values,
-                    # so a range check on the retained extrema is the
-                    # strongest test still available.
-                    gate.records_total += digest.count
-                    if digest.count and (
-                        digest.minimum() < 0.0
-                        or digest.maximum() > MAX_PLAUSIBLE_RTT_MS
-                    ):
-                        raise ValidationError(
-                            "sketch-mode digest for "
-                            f"({day}, {group!r}, {target_id!r}) holds "
-                            "out-of-range samples that can no longer be "
-                            "individually quarantined; re-run the "
-                            "campaign with validation enabled"
-                        )
-                    continue
-                values = digest.values_view()
-                gate.records_total += int(values.size)
-                with np.errstate(invalid="ignore"):
-                    valid = (values >= 0.0) & (values <= MAX_PLAUSIBLE_RTT_MS)
-                if valid.all():
-                    continue
-                gate.records_total -= int(values.size)
-                kept: List[float] = []
-                for value in digest.values():
-                    admitted = gate.admit(day, group, -1, value)
-                    if admitted is not None:
-                        kept.append(admitted)
-                if aggregates is dataset.ecs_aggregates:
-                    # Each joined measurement contributes one ECS sample
-                    # (and one LDNS sample); counting the ECS removals
-                    # keeps measurement_count honest without doubling.
-                    removed += digest.count - len(kept)
-                replacement = type(digest)(
-                    kept,
-                    exact_threshold=digest.exact_threshold,
-                    relative_accuracy=digest.relative_accuracy,
-                )
-                aggregates._days[day][group][target_id] = replacement
+    aggregates = dataset.ecs_aggregates
+    for day in aggregates.days:
+        for group, target_id, digest in aggregates.iter_day(day):
+            if not digest.is_exact:
+                # Sketch-mode digests retain no samples to rescan; the
+                # campaign gates already validated them at ingest.
+                # Bucket keys derive from admitted values, so a range
+                # check on the retained extrema is the strongest test
+                # still available.
+                gate.records_total += digest.count
+                if digest.count and (
+                    digest.minimum() < 0.0
+                    or digest.maximum() > MAX_PLAUSIBLE_RTT_MS
+                ):
+                    raise ValidationError(
+                        "sketch-mode digest for "
+                        f"({day}, {group!r}, {target_id!r}) holds "
+                        "out-of-range samples that can no longer be "
+                        "individually quarantined; re-run the "
+                        "campaign with validation enabled"
+                    )
+                continue
+            values = digest.values_view()
+            gate.records_total += int(values.size)
+            with np.errstate(invalid="ignore"):
+                valid = (values >= 0.0) & (values <= MAX_PLAUSIBLE_RTT_MS)
+            if valid.all():
+                continue
+            gate.records_total -= int(values.size)
+            kept: List[float] = []
+            for value in digest.values():
+                admitted = gate.admit(day, group, -1, value)
+                if admitted is not None:
+                    kept.append(admitted)
+            removed += digest.count - len(kept)
+            aggregates._days[day][group][target_id] = type(digest)(
+                kept,
+                exact_threshold=digest.exact_threshold,
+                relative_accuracy=digest.relative_accuracy,
+                max_buckets=digest.max_buckets,
+            )
     diffs = dataset.request_diffs
     if diffs.is_bounded:
         # Bounded logs hold sketches of already-gated diffs, not rows.

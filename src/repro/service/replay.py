@@ -3,11 +3,12 @@
 ``repro replay`` feeds the live service from a *recorded* campaign: a
 framed export (or an in-memory :class:`~repro.simulation.dataset
 .StudyDataset`) is unrolled back into the beacon and passive events
-that produced it, in a canonical day-ascending order.  Because the
-dataset's exact-mode digests retain every sample bit-for-bit, and each
-client record carries its (static) LDNS id, the reconstructed stream
-reproduces both grouping planes' sample multisets exactly — which is
-what lets ``tests/test_service_replay.py`` use the batch predictor as a
+that produced it, in a canonical day-ascending order.  The dataset
+stores each measurement once, in its /24's exact-mode ECS digest, and
+derives its LDNS plane from each client record's (static) LDNS id.
+Each event carries both, so the window rebuilds the ECS multiset and
+derives the same LDNS plane — which is what lets
+``tests/test_service_replay.py`` use the batch predictor as a
 differential oracle for the online one.
 
 :func:`dirty_events` rides the campaign's ``record-*`` fault vocabulary
@@ -40,16 +41,15 @@ def events_from_dataset(dataset: StudyDataset) -> List[StreamEvent]:
     Day-ascending; within a day, beacons first (sorted by client /24,
     then target, samples in stored order), then passive counts.  The
     ECS aggregates are the beacon source of truth — every joined
-    measurement contributed exactly one ECS sample — and each event's
-    LDNS id comes from the client record, so replaying the stream
-    rebuilds the LDNS plane's multiset too.
+    measurement is stored as exactly one ECS sample — and each event's
+    LDNS id comes from the client record
+    (:meth:`~repro.simulation.dataset.StudyDataset.ldns_id_of`).
 
     Raises:
         MeasurementError: when the dataset's digests are sketch-mode
             (promoted sketches retain no samples to replay) or a group
             key has no client record to recover an LDNS id from.
     """
-    ldns_by_key = {client.key: client.ldns_id for client in dataset.clients}
     ecs = dataset.ecs_aggregates
     passive = dataset.passive
     ecs_days = set(ecs.days)
@@ -58,12 +58,7 @@ def events_from_dataset(dataset: StudyDataset) -> List[StreamEvent]:
     for day in sorted(ecs_days | passive_days):
         if day in ecs_days:
             for group in sorted(ecs.groups_on(day)):
-                ldns_id = ldns_by_key.get(group)
-                if ldns_id is None:
-                    raise MeasurementError(
-                        f"no client record for ECS group {group!r}; "
-                        "cannot recover its LDNS id for replay"
-                    )
+                ldns_id = dataset.ldns_id_of(group)
                 for target_id, digest in sorted(
                     ecs.targets_for(day, group).items()
                 ):

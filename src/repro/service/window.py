@@ -6,14 +6,18 @@ means the service must hold the last ``window_days`` days of per-(group,
 target) latency digests, append as events arrive, and evict whole days
 as the clock advances — the classic ring buffer of aggregation buckets.
 
-Each day bucket is one pair of :class:`~repro.measurement.aggregate
-.GroupedDailyAggregates` (ECS and LDNS groupings) holding only that
-day, so the digests the online predictor reads for day *d* are built
-from exactly the samples the batch predictor sees for day *d*.  Because
-``LatencyDigest`` percentiles are a pure function of the sample
-multiset (sorting internally; canonical sketch promotion), online and
-batch scores agree *bit for bit* — the differential-oracle property
-``tests/test_service_replay.py`` asserts.
+Each day bucket is one ECS :class:`~repro.measurement.aggregate
+.GroupedDailyAggregates` holding only that day, plus the /24 → resolver
+map learned from that day's events.  The LDNS plane is not stored: it
+is derived from the two on every read (:meth:`PredictionWindow
+.aggregates_for`), the way :attr:`~repro.simulation.dataset
+.StudyDataset.ldns_aggregates` derives the batch one, and the map is
+evicted with its bucket.  So the digests the online predictor reads
+for day *d* are built from exactly the samples the batch predictor
+sees for day *d*.  Because ``LatencyDigest`` percentiles are a pure
+function of the sample multiset (sorting internally; canonical sketch
+promotion), online and batch scores agree *bit for bit* — the
+differential-oracle property ``tests/test_service_replay.py`` asserts.
 
 The window itself is order-free: :meth:`observe` commutes across
 events, eviction drops whole days without touching retained ones, and
@@ -37,12 +41,16 @@ from repro.measurement.sketch import (
 )
 from repro.service.events import BeaconEvent
 
-#: Grouping labels of the two aggregate planes each day bucket holds.
+#: Grouping labels of the two aggregate planes each day exposes: the
+#: stored ECS plane and the LDNS plane derived from it.
 GROUPINGS = ("ecs", "ldns")
+
+#: One retained day: its ECS aggregates and its /24 → resolver map.
+_Bucket = Tuple[GroupedDailyAggregates, Dict[str, str]]
 
 
 class PredictionWindow:
-    """A sliding window of per-day (ECS, LDNS) aggregate buckets.
+    """A sliding window of per-day ECS buckets and resolver maps.
 
     Args:
         window_days: How many whole days the window retains.  The §6
@@ -68,9 +76,7 @@ class PredictionWindow:
         self.exact_threshold = exact_threshold
         self.relative_accuracy = relative_accuracy
         self.max_buckets = max_buckets
-        self._days: Dict[
-            int, Tuple[GroupedDailyAggregates, GroupedDailyAggregates]
-        ] = {}
+        self._days: Dict[int, _Bucket] = {}
         #: Events dropped because their day was already evicted.
         self.late_drops = 0
         # Highest day index the window has evicted past (None before the
@@ -81,18 +87,14 @@ class PredictionWindow:
         # when the window happens to be empty.
         self._evicted_through: Optional[int] = None
 
-    def _new_bucket(
-        self,
-    ) -> Tuple[GroupedDailyAggregates, GroupedDailyAggregates]:
-        return tuple(
-            GroupedDailyAggregates(
-                grouping,
-                exact_threshold=self.exact_threshold,
-                relative_accuracy=self.relative_accuracy,
-                max_buckets=self.max_buckets,
-            )
-            for grouping in GROUPINGS
+    def _new_bucket(self) -> _Bucket:
+        ecs = GroupedDailyAggregates(
+            "ecs",
+            exact_threshold=self.exact_threshold,
+            relative_accuracy=self.relative_accuracy,
+            max_buckets=self.max_buckets,
         )
+        return ecs, {}
 
     # ------------------------------------------------------------------
     # Ingest and eviction
@@ -106,6 +108,10 @@ class PredictionWindow:
         when the event's day was already evicted; retained state is
         never touched by such stragglers, which is what "evicted events
         never influence predictions" means operationally.
+
+        Raises:
+            MeasurementError: when the event puts its /24 behind another
+                resolver than an earlier event of the same day did.
         """
         if (
             self._evicted_through is not None
@@ -117,10 +123,15 @@ class PredictionWindow:
         if bucket is None:
             bucket = self._new_bucket()
             self._days[event.day] = bucket
+        ecs, resolvers = bucket
+        known = resolvers.setdefault(event.client_key, event.ldns_id)
+        if known != event.ldns_id:
+            raise MeasurementError(
+                f"day {event.day}: /24 {event.client_key!r} arrived via "
+                f"resolver {event.ldns_id!r} after {known!r}"
+            )
         value = event.rtt_ms if rtt_ms is None else rtt_ms
-        ecs, ldns = bucket
         ecs.observe(event.day, event.client_key, event.target_id, value)
-        ldns.observe(event.day, event.ldns_id, event.target_id, value)
         return True
 
     def advance_to(self, day: int) -> Tuple[int, ...]:
@@ -154,18 +165,21 @@ class PredictionWindow:
     def aggregates_for(
         self, day: int
     ) -> Optional[Tuple[GroupedDailyAggregates, GroupedDailyAggregates]]:
-        """The (ECS, LDNS) aggregate pair of one retained day."""
-        return self._days.get(day)
+        """The (ECS, LDNS) aggregate pair of one retained day; the LDNS
+        plane is derived from the day's resolver map on each call."""
+        bucket = self._days.get(day)
+        if bucket is None:
+            return None
+        ecs, resolvers = bucket
+        return ecs, ecs.regrouped("ldns", resolvers.__getitem__)
 
     def sample_count(self) -> int:
-        """Total retained samples across every digest (both planes)."""
-        total = 0
-        for ecs, ldns in self._days.values():
-            for aggregates in (ecs, ldns):
-                for day in aggregates.days:
-                    for _, _, digest in aggregates.iter_day(day):
-                        total += digest.count
-        return total
+        """Total retained samples (one per admitted beacon)."""
+        return sum(
+            digest.count
+            for day, (ecs, _) in self._days.items()
+            for _, _, digest in ecs.iter_day(day)
+        )
 
     def state_digest(self) -> str:
         """Canonical SHA-256 of the retained window state.
@@ -179,7 +193,7 @@ class PredictionWindow:
         stream = CanonicalHash()
         stream.put("window", self.window_days)
         for day in self.days:
-            for aggregates in self._days[day]:
+            for aggregates in self.aggregates_for(day):
                 stream.put("plane", aggregates.grouping, day)
                 stream.put_parts(aggregate_day_parts(aggregates, day))
         return stream.hexdigest()
@@ -189,21 +203,22 @@ class PredictionWindow:
     # ------------------------------------------------------------------
 
     def to_obj(self) -> Dict[str, Any]:
-        """JSON-compatible form; exact samples round-trip bit-exactly."""
+        """JSON-compatible form; exact samples round-trip bit-exactly.
+
+        Each day holds its ECS rows and its /24 → resolver map.
+        """
         days: Dict[str, Any] = {}
         for day in self.days:
-            ecs, ldns = self._days[day]
-            planes: Dict[str, Any] = {}
-            for aggregates in (ecs, ldns):
-                rows = [
+            ecs, resolvers = self._days[day]
+            days[str(day)] = {
+                "ecs": [
                     [group, target_id, digest_payload(digest)]
                     for group, target_id, digest in sorted(
-                        aggregates.iter_day(day),
-                        key=lambda row: (row[0], row[1]),
+                        ecs.iter_day(day), key=lambda row: (row[0], row[1])
                     )
-                ]
-                planes[aggregates.grouping] = rows
-            days[str(day)] = planes
+                ],
+                "resolvers": dict(sorted(resolvers.items())),
+            }
         return {
             "window_days": self.window_days,
             "exact_threshold": self.exact_threshold,
@@ -237,24 +252,24 @@ class PredictionWindow:
             window._evicted_through = (
                 None if evicted_through is None else int(evicted_through)
             )
-            for day_text, planes in obj["days"].items():
+            for day_text, bucket_obj in obj["days"].items():
                 day = int(day_text)
-                bucket = window._new_bucket()
-                window._days[day] = bucket
-                for aggregates in bucket:
-                    for group, target_id, payload in planes[
-                        aggregates.grouping
-                    ]:
-                        digest = digest_from_payload(
-                            payload,
-                            window.exact_threshold,
-                            window.relative_accuracy,
-                            window.max_buckets,
-                        )
-                        per_day = aggregates._days.setdefault(day, {})
-                        per_day.setdefault(str(group), {})[
-                            str(target_id)
-                        ] = digest
+                ecs, resolvers = window._new_bucket()
+                window._days[day] = (ecs, resolvers)
+                for group, target_id, payload in bucket_obj["ecs"]:
+                    per_day = ecs._days.setdefault(day, {})
+                    per_day.setdefault(str(group), {})[
+                        str(target_id)
+                    ] = digest_from_payload(
+                        payload,
+                        window.exact_threshold,
+                        window.relative_accuracy,
+                        window.max_buckets,
+                    )
+                resolvers.update(
+                    (str(key), str(ldns_id))
+                    for key, ldns_id in bucket_obj["resolvers"].items()
+                )
         except (KeyError, TypeError, ValueError) as error:
             raise MeasurementError(
                 f"malformed prediction-window document ({error})"

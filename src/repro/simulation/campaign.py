@@ -7,7 +7,8 @@ day and client /24:
   (churn state) and logged passively (front-end counts — §3.2.1);
 * a volume-proportional number of beacon sessions run, each measuring the
   anycast target plus three unicast front-ends (§3.2.2–3.3), and feed the
-  ECS- and LDNS-grouped aggregates: the reference engine's three log
+  per-/24 (ECS) aggregates, from which the dataset derives the LDNS
+  grouping: the reference engine's three log
   streams join in :class:`repro.measurement.backend.BeaconBackend`,
   while the batched engines synthesize rows already joined, write them
   to the aggregates directly, and count them with
@@ -1144,7 +1145,6 @@ class _ReferenceBeaconEngine:
         paths: "_PathCache",
         request_diffs: RequestDiffLog,
         ecs_aggregates: GroupedDailyAggregates,
-        ldns_aggregates: GroupedDailyAggregates,
         gate: ValidationGate,
         regions: Dict[str, str],
         resource_timing: Dict[str, bool],
@@ -1152,9 +1152,6 @@ class _ReferenceBeaconEngine:
         def on_joined(row: JoinedMeasurement) -> None:
             ecs_aggregates.observe(
                 row.day, row.client_key, row.target_id, row.rtt_ms
-            )
-            ldns_aggregates.observe(
-                row.day, row.ldns_id, row.target_id, row.rtt_ms
             )
 
         self.backend = BeaconBackend([on_joined])
@@ -1291,8 +1288,8 @@ class _VectorizedBeaconEngine:
       offset + daily congestion offset + episode inflation) assemble into
       a ``(B, T)`` base matrix that the jitter adds onto;
     * results flow into the sinks the way the matrix engine writes
-      them — :meth:`GroupedDailyAggregates.observe_many` per (client or
-      resolver, target) cell, one :meth:`RequestDiffLog.observe_columns`
+      them — :meth:`GroupedDailyAggregates.observe_many` per (client,
+      target) cell, one :meth:`RequestDiffLog.observe_columns`
       per block with the client index and region code repeated, and
       :meth:`BeaconBackend.count_joined_bulk` for the admitted cells —
       but through this engine's own per-client code, so the oracle
@@ -1316,7 +1313,6 @@ class _VectorizedBeaconEngine:
         beacon_config: BeaconConfig,
         request_diffs: RequestDiffLog,
         ecs_aggregates: GroupedDailyAggregates,
-        ldns_aggregates: GroupedDailyAggregates,
         gate: ValidationGate,
         regions: Dict[str, str],
         resource_timing: Dict[str, bool],
@@ -1328,7 +1324,6 @@ class _VectorizedBeaconEngine:
         self._beacon_config = beacon_config
         self._request_diffs = request_diffs
         self._ecs = ecs_aggregates
-        self._ldns = ldns_aggregates
         self._gate = gate
         self._regions = regions
         self._resource_timing = resource_timing
@@ -1432,7 +1427,6 @@ class _VectorizedBeaconEngine:
                 day,
                 day_keys,
                 key,
-                ldns_id,
                 client_index,
                 self._regions[key],
                 self._resource_timing[key],
@@ -1459,7 +1453,6 @@ class _VectorizedBeaconEngine:
         day: int,
         day_keys: DayKeys,
         key: str,
-        ldns_id: str,
         client_index: int,
         region: str,
         resource_timing_supported: bool,
@@ -1548,14 +1541,12 @@ class _VectorizedBeaconEngine:
             )
 
         ecs = self._ecs
-        ldns_aggregates = self._ldns
         for target_id, values in (
             (ANYCAST_TARGET, anycast_col),
             (closest, closest_col),
         ):
             if values.size:
                 ecs.observe_many(day, key, target_id, values)
-                ldns_aggregates.observe_many(day, ldns_id, target_id, values)
         if not picks:
             return
         pick_rtts = rtts[:, 2:]
@@ -1566,9 +1557,7 @@ class _VectorizedBeaconEngine:
                 selected &= pick_ok
             values = pick_rtts[selected]
             if values.size:
-                target_id = pool[pool_index]
-                ecs.observe_many(day, key, target_id, values)
-                ldns_aggregates.observe_many(day, ldns_id, target_id, values)
+                ecs.observe_many(day, key, pool[pool_index], values)
 
 
 class _MatrixGroup:
@@ -1586,8 +1575,6 @@ class _MatrixGroup:
         "pool_size",
         "picks",
         "keys",
-        "ldns_ids",
-        "slot_ldns_ids",
         "closests",
         "pools",
         "client_indices",
@@ -1610,8 +1597,6 @@ class _MatrixGroup:
         self.pool_size = pool_size
         self.picks = picks
         self.keys: List[str] = []
-        self.ldns_ids: List[str] = []
-        self.slot_ldns_ids: List[str] = []
         self.closests: List[str] = []
         self.pools: List[Tuple[str, ...]] = []
         self.client_indices: np.ndarray = np.empty(0, dtype=np.int64)
@@ -1673,7 +1658,6 @@ class _MatrixBeaconEngine:
         beacon_config: BeaconConfig,
         request_diffs: RequestDiffLog,
         ecs_aggregates: GroupedDailyAggregates,
-        ldns_aggregates: GroupedDailyAggregates,
         gate: ValidationGate,
         clients: Sequence[ClientPrefix],
         regions: Dict[str, str],
@@ -1691,7 +1675,6 @@ class _MatrixBeaconEngine:
         self._beacon_config = beacon_config
         self._request_diffs = request_diffs
         self._ecs = ecs_aggregates
-        self._ldns = ldns_aggregates
         self._gate = gate
         self._latency = scenario.latency_model
         self._layout = _layout_for(beacon_config)
@@ -1725,7 +1708,6 @@ class _MatrixBeaconEngine:
             if slot is None:
                 slot = len(group.closests)
                 slots[ldns_id] = slot
-                group.slot_ldns_ids.append(ldns_id)
                 group.closests.append(selector.closest(ldns_id))
                 group.pools.append(pool)
                 if 0 < group.picks < pool_size:
@@ -1734,7 +1716,6 @@ class _MatrixBeaconEngine:
                     )
             self._member[key] = (group, len(group.keys))
             group.keys.append(key)
-            group.ldns_ids.append(ldns_id)
             build["cidx"].append(scenario.client_index(key))
             build["region"].append(
                 request_diffs.region_code(regions[key])
@@ -2006,7 +1987,7 @@ class _MatrixBeaconEngine:
         if admits is None:
             self._sink_chunk_clean(
                 day, group, members, span_member, span_len, row_starts,
-                row_member, ldns_slot, cidx, regions, pick_indices, rtts,
+                row_member, cidx, regions, pick_indices, rtts,
             )
         else:
             self._sink_chunk_masked(
@@ -2023,7 +2004,6 @@ class _MatrixBeaconEngine:
         span_len: np.ndarray,
         row_starts: np.ndarray,
         row_member: np.ndarray,
-        ldns_slot: np.ndarray,
         cidx: np.ndarray,
         regions: np.ndarray,
         pick_indices: np.ndarray,
@@ -2031,15 +2011,12 @@ class _MatrixBeaconEngine:
     ) -> None:
         """Sink an all-admitted chunk with run-grouped columnar extends.
 
-        Each (day, group, target) still receives exactly the multiset of
+        Each (day, /24, target) still receives exactly the multiset of
         values the per-client oracle produces; what changes is the call
-        shape — runs found by one argsort per key instead of a boolean
-        mask per (client, pool position).  LDNS groups additionally
-        coalesce across the clients sharing a resolver, so that sink
-        sees one extend per (resolver, target) per chunk.
+        shape — runs found by one argsort per chunk instead of a boolean
+        mask per (client, pool position).
         """
         ecs = self._ecs
-        ldns_aggregates = self._ldns
         picks = group.picks
         pool_size = group.pool_size
         n_rows = rtts.shape[0]
@@ -2062,7 +2039,7 @@ class _MatrixBeaconEngine:
         span_members = members[span_member].tolist()
         anycast_col = np.ascontiguousarray(rtts[:, 0])
         closest_col = np.ascontiguousarray(rtts[:, 1])
-        # Both target columns ride in one buffer so each sink takes one
+        # Both target columns ride in one buffer so the sink takes one
         # observe_runs call per chunk; closest-column entries index past
         # the anycast column.
         ecs_vals = np.concatenate((anycast_col, closest_col))
@@ -2096,94 +2073,41 @@ class _MatrixBeaconEngine:
             ))
         ecs.observe_runs(day, entries, ecs_vals)
 
-        # Anycast + closest per resolver: one sort keys the chunk rows
-        # by LDNS slot; the runs are that resolver's day columns.
-        row_slots = ldns_slot[row_member]
-        order = np.argsort(row_slots, kind="stable")
-        sorted_slots = row_slots[order]
-        run_bounds = np.nonzero(np.diff(sorted_slots))[0] + 1
+        if not picks:
+            return
+        # Random-pick cells, keyed (client-day, pool index): one sort
+        # turns the chunk's pick columns into per-cell runs.
+        pick_vals = np.ascontiguousarray(rtts[:, 2:]).reshape(-1)
+        cell_keys = (
+            np.repeat(row_member.astype(np.int64), picks) * pool_size
+            + pick_indices.reshape(-1).astype(np.int64)
+        )
+        order = np.argsort(cell_keys, kind="stable")
+        sorted_keys = cell_keys[order]
+        sorted_vals = pick_vals[order]
+        run_bounds = np.nonzero(np.diff(sorted_keys))[0] + 1
         starts = np.concatenate(([0], run_bounds))
-        ends = np.concatenate((run_bounds, [n_rows]))
-        anycast_sorted = anycast_col[order]
-        closest_sorted = closest_col[order]
-        ldns_vals = np.concatenate((anycast_sorted, closest_sorted))
-        la0 = np.minimum.reduceat(anycast_sorted, starts).tolist()
-        ha0 = np.maximum.reduceat(anycast_sorted, starts).tolist()
-        la1 = np.minimum.reduceat(closest_sorted, starts).tolist()
-        ha1 = np.maximum.reduceat(closest_sorted, starts).tolist()
-        slot_ldns_ids = group.slot_ldns_ids
+        ends = np.concatenate((run_bounds, [sorted_keys.shape[0]]))
+        run_lows = np.minimum.reduceat(sorted_vals, starts).tolist()
+        run_highs = np.maximum.reduceat(sorted_vals, starts).tolist()
+        run_keys = sorted_keys[starts].tolist()
+        pools = group.pools
         entries = []
         add = entries.append
         for run, (start, end) in enumerate(
             zip(starts.tolist(), ends.tolist())
         ):
-            slot = int(sorted_slots[start])
-            ldns_id = slot_ldns_ids[slot]
-            add((ldns_id, ANYCAST_TARGET, start, end, la0[run], ha0[run]))
+            staged, pool_index = divmod(run_keys[run], pool_size)
+            member = int(members[staged])
             add((
-                ldns_id,
-                closests[slot],
-                n_rows + start,
-                n_rows + end,
-                la1[run],
-                ha1[run],
+                keys[member],
+                pools[member_slot[member]][pool_index],
+                start,
+                end,
+                run_lows[run],
+                run_highs[run],
             ))
-        ldns_aggregates.observe_runs(day, entries, ldns_vals)
-
-        if not picks:
-            return
-        # Random-pick cells, keyed (client-day, pool index) for the ECS
-        # sink and (resolver, pool index) for the LDNS sink.
-        pick_vals = np.ascontiguousarray(rtts[:, 2:]).reshape(-1)
-        cell_staged = np.repeat(row_member.astype(np.int64), picks)
-        cell_pool = pick_indices.reshape(-1).astype(np.int64)
-        pools = group.pools
-        for by_ldns in (False, True):
-            if by_ldns:
-                cell_keys = (
-                    np.repeat(row_slots.astype(np.int64), picks) * pool_size
-                    + cell_pool
-                )
-            else:
-                cell_keys = cell_staged * pool_size + cell_pool
-            order = np.argsort(cell_keys, kind="stable")
-            sorted_keys = cell_keys[order]
-            sorted_vals = pick_vals[order]
-            run_bounds = np.nonzero(np.diff(sorted_keys))[0] + 1
-            starts = np.concatenate(([0], run_bounds))
-            ends = np.concatenate((run_bounds, [sorted_keys.shape[0]]))
-            run_lows = np.minimum.reduceat(sorted_vals, starts).tolist()
-            run_highs = np.maximum.reduceat(sorted_vals, starts).tolist()
-            run_keys = sorted_keys[starts].tolist()
-            entries = []
-            add = entries.append
-            for run, (start, end) in enumerate(
-                zip(starts.tolist(), ends.tolist())
-            ):
-                run_key = run_keys[run]
-                pool_index = run_key % pool_size
-                if by_ldns:
-                    slot = run_key // pool_size
-                    add((
-                        slot_ldns_ids[slot],
-                        pools[slot][pool_index],
-                        start,
-                        end,
-                        run_lows[run],
-                        run_highs[run],
-                    ))
-                else:
-                    member = int(members[run_key // pool_size])
-                    add((
-                        keys[member],
-                        pools[member_slot[member]][pool_index],
-                        start,
-                        end,
-                        run_lows[run],
-                        run_highs[run],
-                    ))
-            sink = ldns_aggregates if by_ldns else ecs
-            sink.observe_runs(day, entries, sorted_vals)
+        ecs.observe_runs(day, entries, sorted_vals)
 
     def _sink_chunk_masked(
         self,
@@ -2207,7 +2131,6 @@ class _MatrixBeaconEngine:
         per-span masking the oracle uses.
         """
         ecs = self._ecs
-        ldns_aggregates = self._ldns
         picks = group.picks
         targets = 2 + picks
         joined = 0
@@ -2217,7 +2140,6 @@ class _MatrixBeaconEngine:
             length = int(span_len[span_index])
             member = int(members[span_member[span_index]])
             key = group.keys[member]
-            ldns_id = group.ldns_ids[member]
             slot = int(group.ldns_slot[member])
             view = rtts[base_row:base_row + length]
             admit = admits[span_index]
@@ -2229,15 +2151,8 @@ class _MatrixBeaconEngine:
                 closest_col = view[admit[:, 1], 1]
             if anycast_col.size:
                 ecs.observe_many(day, key, ANYCAST_TARGET, anycast_col)
-                ldns_aggregates.observe_many(
-                    day, ldns_id, ANYCAST_TARGET, anycast_col
-                )
-            closest_id = group.closests[slot]
             if closest_col.size:
-                ecs.observe_many(day, key, closest_id, closest_col)
-                ldns_aggregates.observe_many(
-                    day, ldns_id, closest_id, closest_col
-                )
+                ecs.observe_many(day, key, group.closests[slot], closest_col)
             if picks:
                 pool = group.pools[slot]
                 span_picks = pick_indices[base_row:base_row + length]
@@ -2249,11 +2164,7 @@ class _MatrixBeaconEngine:
                         selected &= pick_ok
                     values = pick_rtts[selected]
                     if values.size:
-                        target_id = pool[pool_index]
-                        ecs.observe_many(day, key, target_id, values)
-                        ldns_aggregates.observe_many(
-                            day, ldns_id, target_id, values
-                        )
+                        ecs.observe_many(day, key, pool[pool_index], values)
             span_rows = slice(base_row, base_row + length)
             if admit is None:
                 joined += length * targets
@@ -2490,12 +2401,6 @@ class CampaignRunner:
                 relative_accuracy=cfg.sketch_accuracy,
                 max_buckets=cfg.sketch_max_buckets,
             )
-            ldns_aggregates = GroupedDailyAggregates(
-                "ldns",
-                exact_threshold=cfg.sketch_threshold,
-                relative_accuracy=cfg.sketch_accuracy,
-                max_buckets=cfg.sketch_max_buckets,
-            )
             request_diffs = RequestDiffLog(
                 bounded=bounded,
                 relative_accuracy=cfg.sketch_accuracy,
@@ -2531,19 +2436,18 @@ class CampaignRunner:
             with tel.span("matrix-member-table"):
                 beacon_engine = _MatrixBeaconEngine(
                     scenario, selector, paths, cfg.beacon, request_diffs,
-                    ecs_aggregates, ldns_aggregates, gate, clients,
-                    regions, resource_timing, tel,
+                    ecs_aggregates, gate, clients, regions,
+                    resource_timing, tel,
                 )
         elif engine == "vectorized":
             beacon_engine = _VectorizedBeaconEngine(
                 scenario, selector, paths, cfg.beacon, request_diffs,
-                ecs_aggregates, ldns_aggregates, gate, regions,
-                resource_timing, tel,
+                ecs_aggregates, gate, regions, resource_timing, tel,
             )
         else:
             beacon_engine = _ReferenceBeaconEngine(
                 scenario, runner, paths, request_diffs, ecs_aggregates,
-                ldns_aggregates, gate, regions, resource_timing,
+                gate, regions, resource_timing,
             )
         backend = beacon_engine.backend
 
@@ -2867,15 +2771,13 @@ class CampaignRunner:
                 merge="max",
             ).set(float(peak_rss_bytes()))
             if cfg.sketch_threshold is not None:
-                exact_digests = sketch_digests = 0
-                sketch_buckets = sketch_samples = sketch_halvings = 0
-                for aggregates in (ecs_aggregates, ldns_aggregates):
-                    e, s, b, n, h = aggregates.sketch_stats()
-                    exact_digests += e
-                    sketch_digests += s
-                    sketch_buckets += b
-                    sketch_samples += n
-                    sketch_halvings += h
+                (
+                    exact_digests,
+                    sketch_digests,
+                    sketch_buckets,
+                    sketch_samples,
+                    sketch_halvings,
+                ) = ecs_aggregates.sketch_stats()
                 diff_sketches, diff_buckets, diff_samples, diff_halvings = (
                     request_diffs.sketch_stats()
                 )
@@ -2923,7 +2825,6 @@ class CampaignRunner:
             calendar=calendar,
             clients=scenario.clients,
             ecs_aggregates=ecs_aggregates,
-            ldns_aggregates=ldns_aggregates,
             request_diffs=request_diffs,
             passive=passive,
             beacon_count=beacon_count,

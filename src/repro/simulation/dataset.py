@@ -77,8 +77,11 @@ class StudyDataset:
     Attributes:
         calendar: The days the campaign covered.
         clients: The client population measured.
-        ecs_aggregates: day → (client /24, target) → latency digest.
-        ldns_aggregates: day → (LDNS id, target) → latency digest.
+        ecs_aggregates: day → (client /24, target) → latency digest;
+            every joined measurement is stored here, once.
+        ldns_aggregates: day → (LDNS id, target) → latency digest, a
+            read-only view derived from ``ecs_aggregates`` and each
+            client's resolver (see :attr:`ldns_aggregates`).
         request_diffs: Per-beacon anycast − best-unicast rows (Fig 3).
         passive: Production-traffic front-end counts (Figs 4, 7, 8).
         beacon_count: Total beacon executions.
@@ -101,7 +104,6 @@ class StudyDataset:
     calendar: SimulationCalendar
     clients: Tuple[ClientPrefix, ...]
     ecs_aggregates: GroupedDailyAggregates
-    ldns_aggregates: GroupedDailyAggregates
     request_diffs: RequestDiffLog
     passive: PassiveLog
     beacon_count: int = 0
@@ -136,6 +138,37 @@ class StudyDataset:
         """Query-volume weight of a /24 (its mean daily queries)."""
         return self.client_by_key(client_key).daily_queries
 
+    def ldns_id_of(self, client_key: str) -> str:
+        """The resolver behind a /24 (fixed for the whole campaign).
+
+        Raises:
+            MeasurementError: when the key has no client record.
+        """
+        index = self._index.get(client_key)
+        if index is None:
+            raise MeasurementError(
+                f"no client record for ECS group {client_key!r}; cannot "
+                "recover its LDNS id"
+            )
+        return self.clients[index].ldns_id
+
+    @property
+    def ldns_aggregates(self) -> GroupedDailyAggregates:
+        """The ECS cells regrouped by each client's resolver (Fig 9).
+
+        A /24's resolver never changes, so the LDNS grouping holds no
+        measurement of its own: each read folds every (day, /24, target)
+        cell into its resolver's cell
+        (:meth:`GroupedDailyAggregates.regrouped`).  Nothing is cached,
+        so the view cannot go stale after :meth:`merge` or validation
+        rewrites ECS cells; callers that read it repeatedly hold on to
+        one view.
+
+        Raises:
+            MeasurementError: when an ECS group has no client record.
+        """
+        return self.ecs_aggregates.regrouped("ldns", self.ldns_id_of)
+
     # ------------------------------------------------------------------
     # Merging and fingerprinting
     # ------------------------------------------------------------------
@@ -143,8 +176,9 @@ class StudyDataset:
     def merge(self, other: "StudyDataset") -> "StudyDataset":
         """Fold another dataset's measurements into this one (in place).
 
-        Both datasets must cover the same calendar and client population
-        (shards of one campaign do); only the *measurements* may differ.
+        Both datasets must cover the same calendar and client population,
+        resolvers included (shards of one campaign do); only the
+        *measurements* may differ.
         The operands' covered client ranges must be disjoint — merging
         the same shard twice would double-count every one of its
         measurements, so it is rejected rather than silently absorbed.
@@ -161,7 +195,8 @@ class StudyDataset:
                 "cannot merge datasets over different calendars"
             )
         if len(self.clients) != len(other.clients) or any(
-            a.key != b.key for a, b in zip(self.clients, other.clients)
+            a.key != b.key or a.ldns_id != b.ldns_id
+            for a, b in zip(self.clients, other.clients)
         ):
             raise MeasurementError(
                 "cannot merge datasets over different client populations"
@@ -178,7 +213,6 @@ class StudyDataset:
             self.covered_ranges + other.covered_ranges
         )
         self.ecs_aggregates.merge(other.ecs_aggregates)
-        self.ldns_aggregates.merge(other.ldns_aggregates)
         self.request_diffs.merge(other.request_diffs)
         self.passive.merge(other.passive)
         self.beacon_count += other.beacon_count
@@ -197,12 +231,6 @@ class StudyDataset:
                 exact_threshold=self.ecs_aggregates.exact_threshold,
                 relative_accuracy=self.ecs_aggregates.relative_accuracy,
                 max_buckets=self.ecs_aggregates.max_buckets,
-            ),
-            ldns_aggregates=GroupedDailyAggregates(
-                self.ldns_aggregates.grouping,
-                exact_threshold=self.ldns_aggregates.exact_threshold,
-                relative_accuracy=self.ldns_aggregates.relative_accuracy,
-                max_buckets=self.ldns_aggregates.max_buckets,
             ),
             request_diffs=RequestDiffLog(
                 bounded=self.request_diffs.is_bounded,
@@ -262,6 +290,8 @@ class StudyDataset:
         measurements — e.g. a serial run and a merged sharded run, whose
         shared-LDNS digests interleave samples differently — produce the
         same hex digest.  Floats hash by exact ``repr``; no tolerance.
+        The LDNS plane is hashed from the :attr:`ldns_aggregates` view,
+        so the stream is what it was when both planes were stored.
 
         The hash covers one stream of text parts, each followed by
         ``\\x1f`` (:mod:`repro.measurement.canonical` writes it in bulk):

@@ -966,12 +966,6 @@ class ParallelCampaignRunner:
                     relative_accuracy=cfg.sketch_accuracy,
                     max_buckets=cfg.sketch_max_buckets,
                 ),
-                ldns_aggregates=GroupedDailyAggregates(
-                    "ldns",
-                    exact_threshold=cfg.sketch_threshold,
-                    relative_accuracy=cfg.sketch_accuracy,
-                    max_buckets=cfg.sketch_max_buckets,
-                ),
                 request_diffs=RequestDiffLog(
                     bounded=bounded,
                     relative_accuracy=cfg.sketch_accuracy,

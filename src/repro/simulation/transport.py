@@ -57,8 +57,10 @@ except ImportError:  # pragma: no cover - exercised only where absent
 
 _log = get_logger("transport")
 
-#: Leading bytes of every columnar shard payload.
-MAGIC = b"RPRO-SHARD3\x00"
+#: Leading bytes of every columnar shard payload.  The digit versions
+#: the manifest layout (4: ECS cells only), so a ``.cols`` sidecar of
+#: an older layout misses and its export takes the framed parse.
+MAGIC = b"RPRO-SHARD4\x00"
 
 #: Payloads smaller than this ship inline even when shared memory is
 #: available — a shared-memory block has fixed setup cost that only
@@ -343,7 +345,6 @@ def encode_shard_payload(
         "load_summary": dataset.load_summary,
         "client_count": len(dataset.clients),
         "ecs": _aggregates_spec(dataset.ecs_aggregates, columns),
-        "ldns": _aggregates_spec(dataset.ldns_aggregates, columns),
         "diffs": _diffs_spec(dataset.request_diffs, columns),
         "passive": _passive_spec(dataset.passive),
         "snapshot": snapshot,
@@ -403,7 +404,6 @@ def decode_shard_payload(
         calendar=manifest["calendar"],
         clients=clients,
         ecs_aggregates=_aggregates_from_spec(manifest["ecs"], columns),
-        ldns_aggregates=_aggregates_from_spec(manifest["ldns"], columns),
         request_diffs=_diffs_from_spec(manifest["diffs"], columns),
         passive=_passive_from_spec(manifest["passive"]),
         beacon_count=manifest["beacon_count"],

@@ -45,9 +45,6 @@ def make_dataset(
     ecs_samples: Optional[
         Iterable[Tuple[int, str, str, Sequence[float]]]
     ] = None,
-    ldns_samples: Optional[
-        Iterable[Tuple[int, str, str, Sequence[float]]]
-    ] = None,
     passive_counts: Optional[
         Iterable[Tuple[int, str, str, int]]
     ] = None,
@@ -56,15 +53,13 @@ def make_dataset(
 
     ``ecs_samples`` rows are (day, client_key, target_id, rtts);
     ``passive_counts`` rows are (day, client_key, frontend_id, count).
+    The LDNS plane is the dataset's view of the ECS samples, grouped by
+    each client's ``ldns_id``.
     """
     ecs = GroupedDailyAggregates("ecs")
     for day, group, target, rtts in ecs_samples or ():
         for rtt in rtts:
             ecs.observe(day, group, target, rtt)
-    ldns = GroupedDailyAggregates("ldns")
-    for day, group, target, rtts in ldns_samples or ():
-        for rtt in rtts:
-            ldns.observe(day, group, target, rtt)
     passive = PassiveLog()
     for day, client_key, frontend_id, count in passive_counts or ():
         passive.record(day, client_key, frontend_id, count)
@@ -72,7 +67,6 @@ def make_dataset(
         calendar=SimulationCalendar(num_days=num_days),
         clients=tuple(clients),
         ecs_aggregates=ecs,
-        ldns_aggregates=ldns,
         request_diffs=RequestDiffLog(),
         passive=passive,
     )

@@ -20,11 +20,7 @@ def two_day_dataset(day1_anycast, day1_target, volume=10.0):
         (1, key, "anycast", [day1_anycast] * 25),
         (1, key, "fe-a", [day1_target] * 25),
     ]
-    ldns = [
-        (0, client.ldns_id, "anycast", [50.0] * 25),
-        (0, client.ldns_id, "fe-a", [30.0] * 25),
-    ]
-    return make_dataset([client], num_days=2, ecs_samples=ecs, ldns_samples=ldns)
+    return make_dataset([client], num_days=2, ecs_samples=ecs)
 
 
 class TestEvaluation:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cli import main
 from repro.measurement.aggregate import GroupedDailyAggregates
 from repro.measurement.columnar import (
     MAGIC,
@@ -23,16 +24,23 @@ from repro.measurement.columnar import (
     write_sidecar,
 )
 from repro.measurement.export import (
+    _dataset_frames,
     load_dataset,
     recover_dataset,
     save_dataset,
 )
+from repro.measurement.storage import write_segment_file
+from repro.simulation.transport import MAGIC as SHARD_MAGIC
 from repro.simulation.transport import (
     decode_shard_payload,
     encode_shard_payload,
 )
 
 from .helpers import make_client, make_dataset
+
+#: Group keys of the generated aggregates: client /24s, so the derived
+#: LDNS plane finds a client record for every group.
+CLIENT_KEYS = [make_client(i).key for i in range(1, 5)]
 
 
 def _assert_equal_datasets(left, right):
@@ -136,6 +144,41 @@ def test_corrupt_sidecar_falls_back(small_dataset, tmp_path):
     _assert_equal_datasets(load_dataset(path), small_dataset)
 
 
+def _age_sidecar(path):
+    """Give a sidecar's payload the transport magic of the format-3
+    layout, which still shipped an LDNS plane."""
+    with open(sidecar_path(path), "rb") as handle:
+        raw = handle.read()
+    assert raw.count(SHARD_MAGIC) == 1
+    with open(sidecar_path(path), "wb") as handle:
+        handle.write(raw.replace(SHARD_MAGIC, b"RPRO-SHARD3\x00"))
+
+
+def test_sidecar_with_old_transport_magic_is_a_miss(small_dataset, tmp_path):
+    path = str(tmp_path / "dataset.json")
+    save_dataset(small_dataset, path)
+    _age_sidecar(path)
+    assert load_sidecar(path) is None
+    _assert_equal_datasets(load_dataset(path), small_dataset)
+
+
+def test_format_3_export_beside_its_sidecar_fails_in_one_line(
+    small_dataset, tmp_path, capsys
+):
+    # A format-3 export with a sidecar fingerprinted from its bytes: the
+    # sidecar misses on its magic, and the framed parse names the version.
+    path = str(tmp_path / "old.json")
+    frames = list(_dataset_frames(small_dataset))
+    frames[0]["format_version"] = 3
+    write_segment_file(path, frames)
+    write_sidecar(path, small_dataset)
+    _age_sidecar(path)
+    assert main(["analyze", path]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "unsupported dataset format version 3" in err
+
+
 def test_torn_tail_salvage_ignores_sidecar(small_dataset, tmp_path):
     path = str(tmp_path / "dataset.json")
     save_dataset(small_dataset, path)
@@ -189,7 +232,7 @@ def test_sidecar_magic_is_distinct_from_transport():
     st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=3),          # day
-            st.sampled_from(["g1", "g2", "g3", "g4"]),      # group
+            st.sampled_from(CLIENT_KEYS),                   # group
             st.sampled_from(["anycast", "fe-a", "fe-b"]),   # target
             st.lists(
                 st.floats(
@@ -215,16 +258,9 @@ def test_columnar_transport_round_trip_property(samples, threshold):
     before = GroupedDailyAggregates("ecs", exact_threshold=threshold)
     for day, group, target, rtts in samples:
         before.observe_many(day, group, target, rtts)
-    clients = (make_client(1), make_client(2))
+    clients = tuple(make_client(i) for i in range(1, 5))
     dataset = make_dataset(clients)
-    dataset = type(dataset)(
-        calendar=dataset.calendar,
-        clients=dataset.clients,
-        ecs_aggregates=before,
-        ldns_aggregates=dataset.ldns_aggregates,
-        request_diffs=dataset.request_diffs,
-        passive=dataset.passive,
-    )
+    dataset.ecs_aggregates = before
     payload = encode_shard_payload(dataset, None, None)
     decoded, _, _ = decode_shard_payload(payload, clients)
     after = decoded.ecs_aggregates

@@ -9,19 +9,25 @@ dataset and generated aggregates.
 ``-0.0`` and ``0.0`` compare equal but hash differently (exact
 ``repr``), so the digest's sorts break their tie with ``-0.0`` first;
 otherwise their arrival order would reach an order-insensitive digest.
+
+The LDNS plane the digest hashes is a view of the ECS cells; a property
+checks it against the reference grouping, an LDNS sink filled batch by
+batch.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.clients.population import ClientPopulationConfig
 from repro.measurement.aggregate import GroupedDailyAggregates, RequestDiffLog
+from repro.measurement.canonical import aggregate_day_parts
 from repro.measurement.logs import PassiveLog
 from repro.measurement.sketch import LatencySketch
 from repro.service.events import BeaconEvent
@@ -94,7 +100,6 @@ def test_empty_dataset_matches_reference():
         calendar=SimulationCalendar(num_days=1),
         clients=(),
         ecs_aggregates=GroupedDailyAggregates("ecs"),
-        ldns_aggregates=GroupedDailyAggregates("ldns"),
         request_diffs=RequestDiffLog(),
         passive=PassiveLog(),
     )
@@ -113,12 +118,21 @@ SAMPLES = st.one_of(
     st.floats(-2000.0, -1e-3),
 )
 
-#: (day, group, target, samples); an empty sample list makes an exact
-#: digest with no samples.
+#: Clients whose resolvers are shared: the LDNS view folds the first
+#: two /24s into one resolver cell.
+CLIENTS = (
+    make_client(1, ldns_id="ldns-a"),
+    make_client(2, ldns_id="ldns-a"),
+    make_client(10, ldns_id="ldns-b"),
+)
+CLIENT_KEYS = [client.key for client in CLIENTS]
+
+#: (day, client /24, target, samples); an empty sample list makes an
+#: exact digest with no samples.
 DIGESTS = st.lists(
     st.tuples(
         st.integers(0, 2),
-        st.sampled_from(["g1", "g2", "g10"]),
+        st.sampled_from(CLIENT_KEYS),
         st.sampled_from(["anycast", "fe-a", "fe-b"]),
         st.lists(SAMPLES, max_size=12),
     ),
@@ -150,21 +164,85 @@ def _aggregates(grouping: str, digests) -> GroupedDailyAggregates:
     return aggregates
 
 
-@given(ecs=DIGESTS, ldns=DIGESTS, rows=DIFF_ROWS)
+@given(ecs=DIGESTS, rows=DIFF_ROWS)
 @settings(max_examples=60, deadline=None)
-def test_generated_datasets_match_reference(ecs, ldns, rows):
+def test_generated_datasets_match_reference(ecs, rows):
     diffs = RequestDiffLog()
     for row in rows:
         diffs.observe(*row)
     dataset = StudyDataset(
         calendar=SimulationCalendar(num_days=3),
-        clients=tuple(make_client(i) for i in range(3)),
+        clients=CLIENTS,
         ecs_aggregates=_aggregates("ecs", ecs),
-        ldns_aggregates=_aggregates("ldns", ldns),
         request_diffs=diffs,
         passive=PassiveLog(),
     )
     _assert_matches_reference(dataset)
+
+
+# ----------------------------------------------------------------------
+# The LDNS view against a stored LDNS sink
+# ----------------------------------------------------------------------
+
+#: (day, client index, target, batch): one sink call's worth of
+#: whole-millisecond RTTs, the values the engines produce.
+BATCHES = st.lists(
+    st.tuples(
+        st.integers(0, 1),
+        st.integers(0, len(CLIENTS) - 1),
+        st.sampled_from(["anycast", "fe-a"]),
+        st.lists(st.integers(0, 900).map(float), min_size=1, max_size=9),
+    ),
+    max_size=12,
+)
+
+
+@given(
+    batches=BATCHES,
+    threshold=st.sampled_from([None, 2, 4]),
+    cap=st.sampled_from([8, 512]),
+    shuffle_seed=st.integers(0, 2**16),
+)
+@example(
+    # Two exact members (3 samples each) whose union crosses threshold 4:
+    # the view promotes the resolver cell exactly as the sink did.
+    batches=[
+        (0, 0, "anycast", [10.0, 20.0, 30.0]),
+        (0, 1, "anycast", [15.0, 25.0, 35.0]),
+    ],
+    threshold=4,
+    cap=8,
+    shuffle_seed=0,
+)
+@settings(max_examples=80, deadline=None)
+def test_ldns_view_equals_a_stored_ldns_sink(
+    batches, threshold, cap, shuffle_seed
+):
+    def sink(grouping):
+        return GroupedDailyAggregates(
+            grouping, exact_threshold=threshold, max_buckets=cap
+        )
+
+    ecs = sink("ecs")
+    for day, client, target, values in batches:
+        ecs.observe_many(day, CLIENTS[client].key, target, values)
+    # The reference: an LDNS sink fed every batch under its client's
+    # resolver, in another order than the ECS sink saw them.
+    stored = sink("ldns")
+    shuffled = list(batches)
+    random.Random(shuffle_seed).shuffle(shuffled)
+    for day, client, target, values in shuffled:
+        stored.observe_many(day, CLIENTS[client].ldns_id, target, values)
+
+    dataset = make_dataset(CLIENTS, num_days=2)
+    dataset.ecs_aggregates = ecs
+    view = dataset.ldns_aggregates
+    assert view.days == stored.days
+    for day in stored.days:
+        assert (
+            aggregate_day_parts(view, day).tolist()
+            == aggregate_day_parts(stored, day).tolist()
+        )
 
 
 def test_sketch_digest_hashes_its_canonical_state():
@@ -204,22 +282,23 @@ def test_signed_zeros_are_not_conflated():
 
 
 def test_merge_order_of_signed_zeros_is_canonical():
-    # Two shards feeding one shared (LDNS, target) digest.
-    client_a, client_b = make_client(1), make_client(2)
+    # Two shards whose /24s share one resolver, so their samples meet
+    # in one (LDNS, target) digest of the view, in merge order.
+    clients = (make_client(1), make_client(2))
 
-    def shard(value, covered):
+    def shard(index):
         part = make_dataset(
-            [client_a, client_b],
+            clients,
             num_days=1,
-            ldns_samples=[(0, "ldns-x", "fe", [value])],
+            ecs_samples=[(0, clients[index].key, "fe", [(0.0, -0.0)[index]])],
         )
-        part.covered_ranges = (covered,)
+        part.covered_ranges = ((index, index + 1),)
         return part
 
-    def merged(first, second):
-        return shard(first, (0, 1)).merge(shard(second, (1, 2)))
-
-    assert merged(0.0, -0.0).digest() == merged(-0.0, 0.0).digest()
+    assert (
+        shard(0).merge(shard(1)).digest()
+        == shard(1).merge(shard(0)).digest()
+    )
 
 
 def _diffs_dataset(rows):

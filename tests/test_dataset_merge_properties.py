@@ -87,7 +87,6 @@ def _empty_accumulator() -> StudyDataset:
         calendar=scenario.calendar,
         clients=scenario.clients,
         ecs_aggregates=GroupedDailyAggregates("ecs"),
-        ldns_aggregates=GroupedDailyAggregates("ldns"),
         request_diffs=RequestDiffLog(),
         passive=PassiveLog(),
         covered_ranges=(),

@@ -104,8 +104,9 @@ def test_stream_round_trip(small_dataset):
 
 
 def test_unknown_version_rejected(small_dataset):
-    # Version 2 is the retired framed layout; only the current one loads.
-    for version in (2, 99):
+    # Versions 2 and 3 are retired framed layouts (3 also stored an LDNS
+    # copy of every measurement); only the current one loads.
+    for version in (2, 3, 99):
         frames = list(_dataset_frames(small_dataset))
         frames[0]["format_version"] = version
         with pytest.raises(

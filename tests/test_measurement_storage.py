@@ -125,10 +125,12 @@ class TestCheckpointEnvelope:
             read_checkpoint(path, "unit", self.IDENTITY)
 
     def test_other_format_version_reads_as_none(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(storage, "CHECKPOINT_FORMAT_VERSION", 1)
-        path = self._write(tmp_path)
-        monkeypatch.undo()
-        assert read_checkpoint(path, "unit", self.IDENTITY) is None
+        # Version 2 envelopes held payloads with an LDNS plane.
+        for version in (1, 2):
+            monkeypatch.setattr(storage, "CHECKPOINT_FORMAT_VERSION", version)
+            path = self._write(tmp_path)
+            monkeypatch.undo()
+            assert read_checkpoint(path, "unit", self.IDENTITY) is None
 
     def test_payload_bit_flip_is_a_hash_mismatch(self, tmp_path):
         path = self._write(tmp_path)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ValidationError
+from repro.measurement.aggregate import GroupedDailyAggregates
 from repro.measurement.validate import (
     MAX_PLAUSIBLE_RTT_MS,
     QUARANTINE_SAMPLE_CAP,
@@ -29,6 +30,7 @@ from repro.measurement.validate import (
     classify_rtt,
     validate_dataset,
 )
+from tests.helpers import make_client, make_dataset
 
 
 class TestClassifyRtt:
@@ -277,6 +279,35 @@ class TestValidateDataset:
         gate, _ = validate_dataset(dataset, "lenient")
         assert len(dataset.request_diffs) == rows_before - 2
         assert gate.quarantine.dropped == 2
+
+    def test_lenient_cleaning_keeps_the_sketch_cap(self):
+        # Two /24s behind one resolver, one per shard; cells stay exact
+        # (40 samples, threshold 64) while their union promotes.
+        clients = (make_client(1), make_client(2))
+
+        def shard(index, values):
+            dataset = make_dataset(clients, num_days=1)
+            dataset.ecs_aggregates = GroupedDailyAggregates(
+                "ecs", exact_threshold=64, max_buckets=32
+            )
+            dataset.ecs_aggregates.observe_many(
+                0, clients[index].key, "anycast", values
+            )
+            dataset.covered_ranges = ((index, index + 1),)
+            return dataset
+
+        left = shard(0, [float(v) for v in range(10, 50)])
+        left.ecs_aggregates.digest(0, clients[0].key, "anycast").add(
+            float("nan")
+        )
+        _, removed = validate_dataset(left, "lenient")
+        assert removed == 1
+        cleaned = left.ecs_aggregates.digest(0, clients[0].key, "anycast")
+        assert cleaned.is_exact and cleaned.max_buckets == 32
+        merged = left.merge(shard(1, [float(v) for v in range(20, 60)]))
+        resolver_cell = merged.ldns_aggregates.digest(0, "ldns-x", "anycast")
+        assert not resolver_cell.is_exact
+        assert resolver_cell.count == 80
 
     def test_strict_dataset_scan_raises(self, small_dataset):
         import copy

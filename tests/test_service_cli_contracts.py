@@ -1,0 +1,127 @@
+"""The live service's CLI contracts on a recorded 80 /24 x 3-day campaign.
+
+One campaign is recorded through ``repro run`` (seed 7, vectorized
+engine) and replayed through ``repro replay`` three ways:
+
+* unpaced, where the online predictions must equal the batch
+  :class:`~repro.core.predictor.HistoryBasedPredictor` over the loaded
+  export's ECS and LDNS planes, bit for bit;
+* paced (``--speed``), which must print the unpaced digests;
+* killed by an injected crash (exit 3) and resumed from its checkpoint,
+  which must be bit-identical to an uninterrupted run of the same
+  record faults.
+
+Every file lands in one ``service`` directory under pytest's base
+temporary directory, so a run with ``--basetemp`` leaves the manifests,
+predictions, telemetry and trace where an artifact upload can find
+them.
+"""
+
+import json
+
+import pytest
+
+from repro.cli import main
+from repro.core.predictor import HistoryBasedPredictor
+from repro.measurement.export import load_dataset
+from repro.service.predictor import predictions_to_obj
+
+pytestmark = pytest.mark.service
+
+#: Record faults both fault plans share; the quarantine they fill is part
+#: of the compared digests.
+RECORD_FAULTS = "record-corrupt:6,record-clock-skew:4"
+
+
+def _json(path):
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("service", numbered=False)
+
+
+@pytest.fixture(scope="module")
+def campaign(out_dir):
+    path = str(out_dir / "service-campaign.json")
+    assert main([
+        "run", "--prefixes", "80", "--days", "3", "--seed", "7",
+        "--engine", "vectorized", path,
+    ]) == 0
+    return path
+
+
+@pytest.fixture(scope="module")
+def unpaced(out_dir, campaign):
+    """The unpaced replay's manifest; it also writes the predictions,
+    telemetry and trace."""
+    assert main([
+        "replay", campaign,
+        "--predictions-out", str(out_dir / "service-predictions.json"),
+        "--manifest-out", str(out_dir / "service-replay.manifest.json"),
+        "--telemetry-out", str(out_dir / "service-telemetry.json"),
+        "--trace-out", str(out_dir / "service-trace.json"),
+    ]) == 0
+    return _json(out_dir / "service-replay.manifest.json")
+
+
+def test_replay_matches_the_batch_predictor(out_dir, campaign, unpaced):
+    dataset = load_dataset(campaign)
+    batch = HistoryBasedPredictor()
+    ldns_aggregates = dataset.ldns_aggregates
+    expected = {
+        day: {
+            "ecs": batch.predict_day(dataset.ecs_aggregates, day),
+            "ldns": batch.predict_day(ldns_aggregates, day),
+        }
+        for day in range(dataset.calendar.num_days)
+    }
+    online = _json(out_dir / "service-predictions.json")
+    assert online == predictions_to_obj(expected), (
+        "online predictions diverged from the batch oracle"
+    )
+    assert unpaced["days_closed"] == dataset.calendar.num_days
+
+
+def test_paced_replay_prints_the_unpaced_digests(
+    out_dir, campaign, unpaced, capsys
+):
+    capsys.readouterr()  # drop what the fixtures printed
+    # 10 simulated days per second: one 0.1 s sleep per day advance.
+    assert main([
+        "replay", campaign, "--speed", "864000",
+        "--manifest-out", str(out_dir / "service-paced.manifest.json"),
+    ]) == 0
+    paced = _json(out_dir / "service-paced.manifest.json")
+    assert paced["digests"] == unpaced["digests"], (
+        paced["digests"], unpaced["digests"]
+    )
+    printed = capsys.readouterr().out
+    for digest in unpaced["digests"].values():
+        assert digest in printed
+
+
+def test_crash_killed_resume_is_bit_identical(out_dir, campaign):
+    plan = f"crash:1,{RECORD_FAULTS}"
+    checkpoints = str(out_dir / "service-ckpt")
+    common = ["replay", campaign, "--seed", "7", "--fault-plan"]
+    # The injected crash must kill the service.
+    assert main(common + [plan, "--checkpoint-dir", checkpoints]) == 3
+    assert main(common + [
+        plan, "--resume-from", checkpoints,
+        "--manifest-out", str(out_dir / "service-resumed.manifest.json"),
+    ]) == 0
+    assert main(common + [
+        f"exception:1,{RECORD_FAULTS}",
+        "--manifest-out", str(out_dir / "service-reference.manifest.json"),
+    ]) == 0
+    resumed = _json(out_dir / "service-resumed.manifest.json")
+    reference = _json(out_dir / "service-reference.manifest.json")
+    # Killed-and-resumed equals uninterrupted: predictions, stream and
+    # quarantine.
+    assert resumed["digests"] == reference["digests"], (
+        resumed["digests"], reference["digests"]
+    )
+    assert resumed["quarantine"]["dropped"] > 0, resumed["quarantine"]

@@ -238,7 +238,6 @@ class TestEventRecovery:
             calendar=SimulationCalendar(num_days=1),
             clients=(client,),
             ecs_aggregates=aggregates,
-            ldns_aggregates=GroupedDailyAggregates("ldns"),
             request_diffs=RequestDiffLog(),
             passive=PassiveLog(),
         )
@@ -268,7 +267,6 @@ class TestEventRecovery:
             calendar=dataset.calendar,
             clients=dataset.clients,
             ecs_aggregates=dataset.ecs_aggregates,
-            ldns_aggregates=dataset.ldns_aggregates,
             request_diffs=dataset.request_diffs,
             passive=passive,
         )

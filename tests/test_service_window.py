@@ -20,10 +20,13 @@ The same pure-function discipline is probed for the service's rolling
 mergeable) and for the window's checkpoint round-trip.
 """
 
+import base64
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.errors import MeasurementError
 from repro.service import BeaconEvent, OnlinePredictor, StreamDigest
 from repro.service.window import PredictionWindow
 
@@ -81,8 +84,8 @@ class TestOrderFreedom:
         a = fill(PredictionWindow(window_days=4), events)
         b = fill(PredictionWindow(window_days=4), shuffled)
         assert a.state_digest() == b.state_digest()
-        # Each beacon feeds both grouping planes (ECS and LDNS).
-        assert a.sample_count() == b.sample_count() == 2 * len(events)
+        # Each beacon is held once; the LDNS plane is derived from it.
+        assert a.sample_count() == b.sample_count() == len(events)
 
     @SETTINGS
     @given(events=beacon_events(), split=st.integers(0, 60))
@@ -116,6 +119,36 @@ class TestOrderFreedom:
             right.update(event)
         assert left.merge(right).hexdigest() == whole.hexdigest()
         assert left.count == whole.count == len(events)
+
+
+class TestResolverMap:
+    def test_a_second_resolver_for_a_24_on_one_day_raises(self):
+        window = PredictionWindow(window_days=2)
+        window.observe(BeaconEvent(0, "10.0.1.0/24", "ldns-a", "fe-a", 10.0))
+        before = window.state_digest()
+        with pytest.raises(MeasurementError, match="'ldns-b' after 'ldns-a'"):
+            window.observe(
+                BeaconEvent(0, "10.0.1.0/24", "ldns-b", "fe-a", 12.0)
+            )
+        assert window.state_digest() == before
+        # Each day learns its own map.
+        assert window.observe(
+            BeaconEvent(1, "10.0.1.0/24", "ldns-b", "fe-a", 12.0)
+        )
+
+    @SETTINGS
+    @given(events=beacon_events())
+    def test_checkpoint_holds_each_beacon_once(self, events):
+        days = fill(PredictionWindow(window_days=4), events).to_obj()["days"]
+        assert all(
+            set(bucket) == {"ecs", "resolvers"} for bucket in days.values()
+        )
+        stored = sum(
+            len(base64.b64decode(payload)) // 8
+            for bucket in days.values()
+            for _, _, payload in bucket["ecs"]
+        )
+        assert stored == len(events)
 
 
 class TestEvictionBatching:

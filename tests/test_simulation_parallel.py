@@ -20,6 +20,7 @@ from repro.simulation.parallel import (
     shard_bounds,
 )
 from repro.simulation.scenario import Scenario, ScenarioConfig
+from tests.helpers import make_client, make_dataset
 
 
 @pytest.fixture(scope="module")
@@ -218,6 +219,20 @@ class TestDatasetMerge:
         other = CampaignRunner(Scenario.build(other_config)).run()
         with pytest.raises(MeasurementError):
             tiny_dataset + other
+
+    def test_mismatched_resolvers_rejected(self):
+        # Same /24 keys, another resolver behind one of them: the LDNS
+        # view regroups by resolver, so the populations differ.
+        ours = make_dataset([make_client(1), make_client(2)], num_days=1)
+        theirs = make_dataset(
+            [make_client(1), make_client(2, ldns_id="ldns-y")], num_days=1
+        )
+        ours.covered_ranges = ((0, 1),)
+        theirs.covered_ranges = ((1, 2),)
+        with pytest.raises(
+            MeasurementError, match="different client populations"
+        ):
+            ours.merge(theirs)
 
     def test_invalid_slice_rejected(self, tiny_scenario):
         with pytest.raises(ConfigurationError):
