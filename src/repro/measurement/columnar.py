@@ -2,17 +2,15 @@
 
 The framed export (:mod:`repro.measurement.export`) optimizes for
 durability: every frame is independently CRC-verified JSON, so damage is
-localized and salvageable.  That durability has a read cost — loading a
-paper-scale export re-parses every base64-packed sample array through the
-JSON decoder, which dominates analysis start-up once campaigns outgrow
-smoke scale.
+localized and salvageable.  Its data frames already hold the column
+blocks of :mod:`repro.simulation.transport`, but as base64 inside JSON
+lines, so a framed parse still decodes every frame's text.
 
 This module adds a *derived read cache* next to the export: a binary
-sidecar (``<export>.cols``) holding the same dataset in the columnar
-layout shard transport already uses (:mod:`repro.simulation.transport`).
-Reads memory-map the sidecar and rebuild the dataset from zero-copy
-buffer views — no JSON, no base64, no per-sample Python.  The framed
-file stays the source of truth:
+sidecar (``<export>.cols``) holding the same dataset as one binary
+transport payload of that codec.  Reads memory-map the sidecar and
+rebuild the dataset from zero-copy buffer views — no JSON, no base64,
+no per-sample Python.  The framed file stays the source of truth:
 
 * the sidecar records a **fingerprint** (byte length + SHA-256) of the
   framed export it was derived from; a reader whose fingerprint check
@@ -93,8 +91,11 @@ def _trace_sidecar(event: str, export_path: str, **args: Any) -> None:
             f"sidecar.{event}", "sidecar", path=export_path, **args
         )
 
-#: Leading bytes of every columnar sidecar file.
-MAGIC = b"RPRO-COLS1\x00"
+#: Leading bytes of every columnar sidecar file.  The digit versions
+#: the export format the sidecar may stand beside (2: format-5 exports),
+#: so a sidecar written next to an older export misses and that export
+#: fails its framed parse with one clear error.
+MAGIC = b"RPRO-COLS2\x00"
 
 #: Suffix appended to the framed export's path.
 SIDECAR_SUFFIX = ".cols"
@@ -176,8 +177,6 @@ def _read_header(
     view: memoryview, source: str
 ) -> Tuple[Dict[str, Any], int]:
     """Decode the sidecar header; returns (header, payload offset)."""
-    if bytes(view[: len(MAGIC)]) != MAGIC:
-        raise MeasurementError(f"{source}: not a columnar sidecar")
     length_end = len(MAGIC) + _LEN.size
     if len(view) < length_end:
         raise MeasurementError(
@@ -236,6 +235,16 @@ def load_sidecar(
         handle.close()
     try:
         view = memoryview(mapped)
+        if bytes(view[: len(MAGIC)]) != MAGIC:
+            # Not a sidecar of this layout (one written beside an older
+            # export format, say): a miss, like a stale one.
+            _log.info(
+                "columnar sidecar has another layout; re-parsing frames",
+                extra={"path": export_path},
+            )
+            SIDECAR_STATS.fallbacks += 1
+            _trace_sidecar("miss", export_path, reason="layout")
+            return None
         header, payload_start = _read_header(view, path)
         if fingerprint is None:
             fingerprint = file_fingerprint(export_path)

@@ -6,7 +6,7 @@ it take milliseconds.  These helpers serialize a
 once and analyzed many times — the same split the paper's backend
 storage provided.
 
-One on-disk format, the framed export (format version 4): a crash-safe
+One on-disk format, the framed export (format version 5): a crash-safe
 framed segment file (:mod:`repro.measurement.storage`) holding a header
 frame, client chunks, per-day ECS aggregate and passive frames,
 request-diff chunks, and a footer, each line independently length- and
@@ -17,10 +17,14 @@ the client records on load
 
 * The header records the calendar, counts, coverage, load summary and
   sketch configuration, so loads rebuild sinks in the right mode.
-* Aggregate rows carry packed raw samples (base64 float64) or, for
-  promoted cells, a sketch object; bounded diff logs write per-(day,
-  region) ``diff_sketches`` frames instead of row chunks; bounded
-  passive logs write per-day ``passive_totals`` frames.
+* Data frames carry the column blocks of
+  :mod:`repro.simulation.transport`, the one codec of every dataset
+  byte stream: an ``aggregates`` frame holds one day's block (one
+  sample column, promoted cells as sketch specs), a ``request_diffs``
+  frame up to 100k diff rows in their native dtypes, and a bounded diff
+  log's ``diff_sketches`` frame one day's region sketches.  Passive
+  counts stay plain JSON per day (``passive`` or, bounded,
+  ``passive_totals``).  Frames are JSON, so loading never unpickles.
 
 :func:`load_dataset` reads an export strictly (through its ``.cols``
 sidecar when a fresh one exists, :mod:`repro.measurement.columnar`);
@@ -30,24 +34,15 @@ frames, truncating torn tails — and reports exactly what survived.
 
 from __future__ import annotations
 
-import base64
 import datetime
-from array import array
 from dataclasses import dataclass
-from typing import Any, Dict, IO, Iterator, List, Optional, Tuple, Union
-
-import numpy as np
+from typing import Any, Dict, IO, Iterator, List, Tuple, Union
 
 from repro.errors import MeasurementError, StorageError
 from repro.clients.population import ClientPrefix
 from repro.geo.coords import GeoPoint
-from repro.measurement.aggregate import (
-    GroupedDailyAggregates,
-    LatencyDigest,
-    RequestDiffLog,
-)
+from repro.measurement.aggregate import GroupedDailyAggregates, RequestDiffLog
 from repro.measurement.logs import PassiveLog
-from repro.measurement.sketch import DEFAULT_MAX_BUCKETS, LatencySketch
 from repro.measurement.storage import (
     RecoveryReport,
     read_segment_text,
@@ -58,9 +53,19 @@ from repro.telemetry import get_logger
 from repro.net.ip import IPv4Prefix
 from repro.simulation.clock import SimulationCalendar
 from repro.simulation.dataset import StudyDataset
+from repro.simulation.transport import (
+    apply_day_block,
+    apply_diff_rows,
+    apply_diff_sketches,
+    apply_passive_day,
+    encode_day_block,
+    encode_diff_rows,
+    encode_diff_sketches,
+    passive_day_obj,
+)
 
 #: Format marker of the framed exports this module writes and reads.
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 #: Client records per ``clients`` frame.
 _CLIENT_CHUNK = 500
@@ -69,124 +74,6 @@ _CLIENT_CHUNK = 500
 _DIFF_CHUNK = 100_000
 
 _log = get_logger("export")
-
-
-def _pack_doubles(values: np.ndarray) -> str:
-    """Base64 of a float64 array's bytes."""
-    return base64.b64encode(values.tobytes()).decode("ascii")
-
-
-def _unpack_doubles(text: str) -> array:
-    packed = array("d")
-    packed.frombytes(base64.b64decode(text.encode("ascii")))
-    return packed
-
-
-def digest_payload(digest: LatencyDigest) -> Any:
-    """Serialize one :class:`LatencyDigest` to a JSON-safe payload.
-
-    Exact digests pack their float64 samples bit-exactly (base64);
-    promoted digests serialize their sketch.  This is one aggregate
-    row's value cell, and the live service's window checkpoints reuse
-    it so a spilled window round-trips without losing a bit.
-    """
-    if digest.is_exact:
-        return _pack_doubles(digest.values_view())
-    assert digest.sketch is not None
-    return {"sketch": digest.sketch.to_obj()}
-
-
-def digest_from_payload(
-    payload: Any,
-    exact_threshold: Optional[int],
-    relative_accuracy: float,
-    max_buckets: int = DEFAULT_MAX_BUCKETS,
-) -> LatencyDigest:
-    """Inverse of :func:`digest_payload`, rebuilding the digest with the
-    given sketch-mode configuration."""
-    if isinstance(payload, dict):
-        return LatencyDigest.from_sketch(
-            LatencySketch.from_obj(payload["sketch"]),
-            exact_threshold=exact_threshold,
-            relative_accuracy=relative_accuracy,
-            max_buckets=max_buckets,
-        )
-    digest = LatencyDigest(
-        exact_threshold=exact_threshold,
-        relative_accuracy=relative_accuracy,
-        max_buckets=max_buckets,
-    )
-    digest.extend(_unpack_doubles(payload))
-    return digest
-
-
-def _aggregate_day_rows(
-    aggregates: GroupedDailyAggregates, day: int
-) -> List[Any]:
-    return [
-        [group, target_id, digest_payload(digest)]
-        for group, target_id, digest in aggregates.iter_day(day)
-    ]
-
-
-def _apply_aggregate_rows(
-    aggregates: GroupedDailyAggregates, day: int, rows: List[Any]
-) -> None:
-    for group, target_id, payload in rows:
-        per_group = aggregates._days.setdefault(day, {}).setdefault(
-            group, {}
-        )
-        per_group[target_id] = digest_from_payload(
-            payload,
-            aggregates.exact_threshold,
-            aggregates.relative_accuracy,
-            aggregates.max_buckets,
-        )
-
-
-def _passive_day_obj(passive: PassiveLog, day: int) -> Dict[str, Any]:
-    return {
-        client_key: counts for client_key, counts in passive.iter_day(day)
-    }
-
-
-def _apply_passive_day(
-    passive: PassiveLog, day: int, clients: Dict[str, Any]
-) -> None:
-    for client_key, counts in clients.items():
-        for frontend_id, count in counts.items():
-            passive.record(day, client_key, frontend_id, int(count))
-
-
-def _diffs_slice_obj(
-    diffs: RequestDiffLog, start: int, stop: int
-) -> Dict[str, Any]:
-    def column(values: array) -> str:
-        return _pack_doubles(
-            np.asarray(values[start:stop], dtype=np.float64)
-        )
-
-    return {
-        "region_names": list(diffs.region_names),
-        "day": column(diffs._day),
-        "client_index": column(diffs._client_index),
-        "region_code": column(diffs._region_code),
-        "anycast": column(diffs._anycast),
-        "best_unicast": column(diffs._best_unicast),
-    }
-
-
-def _apply_diffs_obj(diffs: RequestDiffLog, obj: Dict[str, Any]) -> None:
-    names = obj["region_names"]
-    for name in names:
-        diffs.region_code(name)
-    days = _unpack_doubles(obj["day"])
-    clients = _unpack_doubles(obj["client_index"])
-    regions = _unpack_doubles(obj["region_code"])
-    anycast = _unpack_doubles(obj["anycast"])
-    best = _unpack_doubles(obj["best_unicast"])
-    for day, client, region, a, b in zip(days, clients, regions, anycast, best):
-        diffs.observe(int(day), int(client), names[int(region)], a, b)
 
 
 def _client_to_obj(client: ClientPrefix) -> Dict[str, Any]:
@@ -275,45 +162,36 @@ def _dataset_frames(dataset: StudyDataset) -> Iterator[Dict[str, Any]]:
         }
     # Data frames are per day (and per diff chunk), so damage is
     # localized: a torn tail loses trailing days, not the whole file.
-    for day in sorted(set(ecs.days) | set(dataset.passive.days)):
+    passive = dataset.passive
+    passive_kind, passive_key = (
+        ("passive_totals", "totals")
+        if passive.is_bounded
+        else ("passive", "clients")
+    )
+    for day in sorted(set(ecs.days) | set(passive.days)):
         yield {
             "kind": "aggregates",
             "day": day,
-            "rows": _aggregate_day_rows(ecs, day),
+            "block": encode_day_block(ecs, day),
         }
-        if dataset.passive.is_bounded:
-            yield {
-                "kind": "passive_totals",
-                "day": day,
-                "totals": dataset.passive.day_totals(day),
-            }
-        else:
-            yield {
-                "kind": "passive",
-                "day": day,
-                "clients": _passive_day_obj(dataset.passive, day),
-            }
+        yield {
+            "kind": passive_kind,
+            "day": day,
+            passive_key: passive_day_obj(passive, day),
+        }
     if diffs.is_bounded:
-        # One frame per day, mirroring the aggregate frames' damage
-        # locality: a torn tail loses trailing days of sketches only.
-        sketches = diffs.day_region_sketches()
-        sketch_days = sorted({day for day, _ in sketches})
-        for day in sketch_days:
+        for day in sorted({day for day, _ in diffs.day_region_sketches()}):
             yield {
                 "kind": "diff_sketches",
                 "day": day,
-                "rows": [
-                    [region, sketches[(d, region)].to_obj()]
-                    for d, region in sorted(sketches)
-                    if d == day
-                ],
+                "block": encode_diff_sketches(diffs, day),
             }
     for index in range(diff_chunks):
         start = index * _DIFF_CHUNK
         yield {
             "kind": "request_diffs",
             "index": index,
-            **_diffs_slice_obj(diffs, start, start + _DIFF_CHUNK),
+            "block": encode_diff_rows(diffs, start, start + _DIFF_CHUNK),
         }
 
 
@@ -424,28 +302,15 @@ def _dataset_from_frames(
             if kind == "clients":
                 client_chunks[int(frame["index"])] = frame["rows"]
             elif kind == "aggregates":
-                _apply_aggregate_rows(ecs, int(frame["day"]), frame["rows"])
+                apply_day_block(ecs, int(frame["day"]), frame["block"])
             elif kind == "passive":
-                _apply_passive_day(
-                    passive, int(frame["day"]), frame["clients"]
-                )
+                apply_passive_day(passive, int(frame["day"]), frame["clients"])
             elif kind == "passive_totals":
-                day = int(frame["day"])
-                for frontend_id, count in frame["totals"].items():
-                    passive.record(day, "", frontend_id, int(count))
+                apply_passive_day(passive, int(frame["day"]), frame["totals"])
             elif kind == "diff_sketches":
-                day = int(frame["day"])
-                for region, sketch_obj in frame["rows"]:
-                    sketch = LatencySketch.from_obj(sketch_obj)
-                    diffs.region_code(region)
-                    existing = diffs._sketches.get((day, region))
-                    if existing is None:
-                        diffs._sketches[(day, region)] = sketch
-                    else:
-                        existing.merge(sketch)
-                    diffs._total += sketch.count
+                apply_diff_sketches(diffs, int(frame["day"]), frame["block"])
             elif kind == "request_diffs":
-                diff_chunks[int(frame["index"])] = frame
+                diff_chunks[int(frame["index"])] = frame["block"]
         if sorted(client_chunks) != list(range(int(header["client_chunks"]))):
             raise StorageError(
                 "unrecoverable dataset export: client frames are "
@@ -465,10 +330,10 @@ def _dataset_from_frames(
         # Row order matters for the diff columns; apply chunks in index
         # order and drop anything after a gap (rows would misalign).
         for index in range(int(header["diff_chunks"])):
-            frame = diff_chunks.get(index)
-            if frame is None:
+            block = diff_chunks.get(index)
+            if block is None:
                 break
-            _apply_diffs_obj(diffs, frame)
+            apply_diff_rows(diffs, block)
         recovered_measurements = sum(
             digest.count
             for day in ecs.days
@@ -498,6 +363,10 @@ def _dataset_from_frames(
     except KeyError as error:
         raise MeasurementError(
             f"malformed dataset export: missing field {error}"
+        ) from error
+    except (AttributeError, TypeError, ValueError) as error:
+        raise MeasurementError(
+            f"malformed dataset export ({error!r})"
         ) from error
     validate_dataset(dataset, "strict")
     return dataset, recovery

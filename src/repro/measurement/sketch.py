@@ -59,7 +59,6 @@ relative-value uncertainty elsewhere.  ``count``, ``minimum`` and
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import struct
 from array import array
@@ -69,7 +68,8 @@ import numpy as np
 
 from repro.errors import AnalysisError, MeasurementError
 
-#: Schema marker for serialized sketches (export frames, transport).
+#: Schema marker of the sketch state, hashed by :meth:`LatencySketch
+#: .canonical_state`.
 SKETCH_SCHEMA_VERSION = 1
 
 #: Default relative accuracy: reported values within 1% of a true sample.
@@ -112,18 +112,6 @@ def mantissa_bits_for(relative_accuracy: float) -> int:
     while 2.0 ** -(bits + 1) > relative_accuracy and bits < _MAX_MANTISSA_BITS:
         bits += 1
     return bits
-
-
-def _pack_int64(values: Iterable[int]) -> str:
-    return base64.b64encode(
-        np.asarray(tuple(values), dtype=np.int64).tobytes()
-    ).decode("ascii")
-
-
-def _unpack_int64(text: str) -> np.ndarray:
-    return np.frombuffer(
-        base64.b64decode(text.encode("ascii")), dtype=np.int64
-    )
 
 
 class LatencySketch:
@@ -562,12 +550,10 @@ class LatencySketch:
         minimum: Optional[float],
         maximum: Optional[float],
         total: float,
-        base_mantissa_bits: Optional[int] = None,
-        max_buckets: int = DEFAULT_MAX_BUCKETS,
+        base_mantissa_bits: int,
+        max_buckets: int,
     ) -> "LatencySketch":
         """Rebuild a sketch from :meth:`column_state` arrays."""
-        if base_mantissa_bits is None:
-            base_mantissa_bits = int(mantissa_bits)
         if not 1 <= int(mantissa_bits) <= int(base_mantissa_bits):
             raise MeasurementError(
                 f"current mantissa_bits {mantissa_bits!r} must be in "
@@ -596,59 +582,6 @@ class LatencySketch:
                 "non-empty sketch state is missing its min/max envelope"
             )
         return sketch
-
-    def to_obj(self) -> Dict[str, Any]:
-        """JSON-compatible form (export frames, checkpoint spills)."""
-        state = self.column_state()
-        return {
-            "schema": SKETCH_SCHEMA_VERSION,
-            "mantissa_bits": state["mantissa_bits"],
-            "base_mantissa_bits": state["base_mantissa_bits"],
-            "max_buckets": state["max_buckets"],
-            "min_trackable": state["min_trackable"],
-            "pos_keys": _pack_int64(state["pos_keys"]),
-            "pos_counts": _pack_int64(state["pos_counts"]),
-            "neg_keys": _pack_int64(state["neg_keys"]),
-            "neg_counts": _pack_int64(state["neg_counts"]),
-            "zero": state["zero"],
-            "count": state["count"],
-            "min": state["min"],
-            "max": state["max"],
-            "sum": state["sum"],
-        }
-
-    @classmethod
-    def from_obj(cls, obj: Dict[str, Any]) -> "LatencySketch":
-        """Rebuild a sketch from :meth:`to_obj`'s output.
-
-        Raises:
-            MeasurementError: on an unknown schema or malformed state.
-        """
-        try:
-            schema = obj["schema"]
-            if schema != SKETCH_SCHEMA_VERSION:
-                raise MeasurementError(
-                    f"unsupported sketch schema version {schema!r}"
-                )
-            return cls.from_columns(
-                mantissa_bits=obj["mantissa_bits"],
-                base_mantissa_bits=obj.get("base_mantissa_bits"),
-                max_buckets=obj.get("max_buckets", DEFAULT_MAX_BUCKETS),
-                min_trackable=obj["min_trackable"],
-                pos_keys=_unpack_int64(obj["pos_keys"]),
-                pos_counts=_unpack_int64(obj["pos_counts"]),
-                neg_keys=_unpack_int64(obj["neg_keys"]),
-                neg_counts=_unpack_int64(obj["neg_counts"]),
-                zero=obj["zero"],
-                count=obj["count"],
-                minimum=obj["min"],
-                maximum=obj["max"],
-                total=obj["sum"],
-            )
-        except KeyError as error:
-            raise MeasurementError(
-                f"malformed sketch object: missing field {error}"
-            ) from error
 
     def __repr__(self) -> str:
         return (

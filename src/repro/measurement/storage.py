@@ -62,8 +62,10 @@ FOOTER_KIND = "footer"
 
 #: Format version every checkpoint header carries; a header with any
 #: other version reads as "not mine" (:func:`read_checkpoint`).
-#: Version 3 payloads hold ECS cells only (no stored LDNS plane).
-CHECKPOINT_FORMAT_VERSION = 3
+#: Version 4 payloads come from the one column codec
+#: (:mod:`repro.simulation.transport`): shard payloads in its binary
+#: layout, service payloads with the window's days as its day blocks.
+CHECKPOINT_FORMAT_VERSION = 4
 
 
 def format_frame(obj: Dict[str, Any]) -> str:

@@ -25,6 +25,11 @@ events, eviction drops whole days without touching retained ones, and
 is a pure function of the in-window event multiset, invariant under
 arrival order, shard interleaving, and eviction batching
 (``tests/test_service_window.py``).
+
+Service checkpoints spill the window through the dataset codec
+(:mod:`repro.simulation.transport`): each retained day is its ECS day
+block, the block an export's ``aggregates`` frame holds, plus the
+resolver map.
 """
 
 from __future__ import annotations
@@ -34,12 +39,12 @@ from typing import Any, Dict, Optional, Tuple
 from repro.errors import ConfigurationError, MeasurementError
 from repro.measurement.aggregate import GroupedDailyAggregates
 from repro.measurement.canonical import CanonicalHash, aggregate_day_parts
-from repro.measurement.export import digest_from_payload, digest_payload
 from repro.measurement.sketch import (
     DEFAULT_MAX_BUCKETS,
     DEFAULT_RELATIVE_ACCURACY,
 )
 from repro.service.events import BeaconEvent
+from repro.simulation.transport import apply_day_block, encode_day_block
 
 #: Grouping labels of the two aggregate planes each day exposes: the
 #: stored ECS plane and the LDNS plane derived from it.
@@ -205,18 +210,15 @@ class PredictionWindow:
     def to_obj(self) -> Dict[str, Any]:
         """JSON-compatible form; exact samples round-trip bit-exactly.
 
-        Each day holds its ECS rows and its /24 → resolver map.
+        Each day holds its ECS cells as one column block
+        (:func:`repro.simulation.transport.encode_day_block`) and its
+        /24 → resolver map.
         """
         days: Dict[str, Any] = {}
         for day in self.days:
             ecs, resolvers = self._days[day]
             days[str(day)] = {
-                "ecs": [
-                    [group, target_id, digest_payload(digest)]
-                    for group, target_id, digest in sorted(
-                        ecs.iter_day(day), key=lambda row: (row[0], row[1])
-                    )
-                ],
+                "ecs": encode_day_block(ecs, day),
                 "resolvers": dict(sorted(resolvers.items())),
             }
         return {
@@ -256,16 +258,7 @@ class PredictionWindow:
                 day = int(day_text)
                 ecs, resolvers = window._new_bucket()
                 window._days[day] = (ecs, resolvers)
-                for group, target_id, payload in bucket_obj["ecs"]:
-                    per_day = ecs._days.setdefault(day, {})
-                    per_day.setdefault(str(group), {})[
-                        str(target_id)
-                    ] = digest_from_payload(
-                        payload,
-                        window.exact_threshold,
-                        window.relative_accuracy,
-                        window.max_buckets,
-                    )
+                apply_day_block(ecs, day, bucket_obj["ecs"])
                 resolvers.update(
                     (str(key), str(ldns_id))
                     for key, ldns_id in bucket_obj["resolvers"].items()

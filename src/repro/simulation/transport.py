@@ -1,37 +1,39 @@
-"""Columnar shard-result transport for parallel campaigns.
+"""The dataset column codec: every byte stream a dataset travels in.
 
-A shard result used to cross the process boundary as one pickle of the
-whole ``(dataset, snapshot, quarantine)`` tuple — including the full
-client population (identical in every shard) and a per-sample object
-graph.  This module replaces that with a columnar encoding:
+Samples, sketch buckets, request-diff rows and passive counts become
+bytes and come back through this module only, so every layout decision
+about the sinks sits here.  The shard transport (:func:`encode_shard_payload`),
+which the ``.cols`` sidecar and shard checkpoints reuse, ships one binary
+payload: ``MAGIC | u64 manifest length | manifest pickle | column
+bytes``, without the client population (every shard rebuilds it).  The
+framed export and the service window checkpoint hold JSON blocks: one
+per day of aggregates or of diff sketches, one per slice of diff rows.
 
-* the **manifest** — everything small (counts, calendar, telemetry
-  snapshot, quarantine, sink configuration, and a table describing the
-  data buffers) — is pickled once;
-* the **data buffers** — latency-sample arrays, sketch key/count
-  arrays, and the request-diff columns — are appended as raw contiguous
-  bytes, no per-element serialization;
-* the **client population is not shipped at all**: every shard rebuilds
-  the same scenario, so the coordinator re-homes decoded datasets onto
-  its own client tuple (it already did this after merging).
+Specs are JSON-safe and point into a column table.  A day of aggregates
+coalesces its exact cells' samples into one float64 column; each row is
+``[group, target, start, stop]``, a slice of it, or ``[group, target,
+sketch spec]`` with four int64 key and count columns.  Diff rows keep
+the log's dtypes (i4 day, i4 client, i1 region, f4 and f4 RTTs).  A
+JSON block adds ``"columns": [[dtype, count], ...]`` and ``"data"``,
+the base64 of its columns back to back.  Frames and payloads pass their
+CRC or SHA-256 checks whatever they carry, so every reader raises
+:class:`~repro.errors.MeasurementError` on a column dtype the writer
+never emits, a column table whose byte total differs from the data,
+exact rows that do not tile their day's sample column in order, or
+sketch key and count columns of unequal length.
 
-Layout: ``MAGIC | u64 manifest length | manifest | buffer bytes...``.
-The existing SHA-256 integrity check hashes these encoded bytes
-directly, so corruption anywhere — manifest or raw buffers — is
-detected before a merge.
-
-When ``multiprocessing.shared_memory`` is available and the payload is
-large enough, workers ship the encoded bytes through a shared-memory
-block and the envelope carries only its name; otherwise (platforms
-without it, tiny payloads, in-process pools) the bytes travel inline
-through the normal pool pipe.
+Large payloads ship through a ``multiprocessing.shared_memory`` block
+where one is available, and inline through the pool pipe otherwise.
 """
 
 from __future__ import annotations
 
+import base64
 import pickle
 import struct
-from typing import Any, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from itertools import compress
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -58,9 +60,9 @@ except ImportError:  # pragma: no cover - exercised only where absent
 _log = get_logger("transport")
 
 #: Leading bytes of every columnar shard payload.  The digit versions
-#: the manifest layout (4: ECS cells only), so a ``.cols`` sidecar of
-#: an older layout misses and its export takes the framed parse.
-MAGIC = b"RPRO-SHARD4\x00"
+#: the manifest layout (5: bounded diff sketches and passive counts in
+#: per-day specs), so a payload of an older layout is refused.
+MAGIC = b"RPRO-SHARD5\x00"
 
 #: Payloads smaller than this ship inline even when shared memory is
 #: available — a shared-memory block has fixed setup cost that only
@@ -69,122 +71,385 @@ SHM_MIN_BYTES = 256 * 1024
 
 _LEN = struct.Struct("<Q")
 
+#: The dtype string of each column kind the writer emits.
+_DTYPES = {kind: np.dtype(kind).str for kind in ("f8", "f4", "i8", "i4", "i1")}
+
+
+@contextmanager
+def _decoding(what: str) -> Iterator[None]:
+    """Turn a malformed spec's lookup, type and value errors into one
+    :class:`MeasurementError` naming ``what``."""
+    try:
+        yield
+    except (
+        AttributeError, IndexError, KeyError, TypeError, ValueError
+    ) as error:
+        raise MeasurementError(f"malformed {what} ({error!r})") from error
+
 
 class _ColumnWriter:
     """Collects contiguous arrays; returns table indices for specs."""
 
     def __init__(self) -> None:
-        self.table: List[Tuple[str, int]] = []
+        self.table: List[List[Any]] = []
         self.chunks: List[bytes] = []
 
     def put(self, values: np.ndarray) -> int:
         arr = np.ascontiguousarray(values)
-        self.table.append((arr.dtype.str, int(arr.size)))
+        self.table.append([arr.dtype.str, int(arr.size)])
         self.chunks.append(arr.tobytes())
         return len(self.table) - 1
 
-    def put_buffer(self, raw, dtype: str) -> int:
-        """Append an existing C buffer (``array`` module) verbatim."""
-        return self.put(np.frombuffer(raw, dtype=np.dtype(dtype)))
+    def block(self, spec: Dict[str, Any]) -> Dict[str, Any]:
+        """``spec`` as a JSON block: its column table and base64 data."""
+        spec["columns"] = self.table
+        spec["data"] = base64.b64encode(b"".join(self.chunks)).decode("ascii")
+        return spec
 
 
 class _ColumnReader:
-    """Resolves table indices back into zero-copy numpy views."""
+    """Checks a column table against its data; serves zero-copy views."""
 
-    def __init__(self, table: List[Tuple[str, int]], data: memoryview) -> None:
-        self._views: List[np.ndarray] = []
+    def __init__(self, table: Any, data: memoryview) -> None:
+        spans: List[Tuple[np.dtype, int, int]] = []
         offset = 0
-        for dtype_str, size in table:
-            dtype = np.dtype(dtype_str)
-            nbytes = dtype.itemsize * size
-            self._views.append(
-                np.frombuffer(data[offset : offset + nbytes], dtype=dtype)
+        with _decoding("column table"):
+            for dtype_str, size in table:
+                if dtype_str not in _DTYPES.values():
+                    raise MeasurementError(
+                        f"column dtype {dtype_str!r} is not one the "
+                        "codec writes"
+                    )
+                if type(size) is not int or size < 0:
+                    raise MeasurementError(f"column length {size!r}")
+                dtype = np.dtype(dtype_str)
+                spans.append((dtype, offset, offset + dtype.itemsize * size))
+                offset = spans[-1][2]
+        if offset != len(data):
+            raise MeasurementError(
+                f"column table describes {offset} bytes but the data "
+                f"holds {len(data)}"
             )
-            offset += nbytes
-        self.consumed = offset
+        self._views = [
+            np.frombuffer(data[start:stop], dtype=dtype)
+            for dtype, start, stop in spans
+        ]
 
-    def get(self, index: int) -> np.ndarray:
-        return self._views[index]
+    @classmethod
+    def of_block(cls, block: Dict[str, Any]) -> "_ColumnReader":
+        """The columns of a :meth:`_ColumnWriter.block` block."""
+        with _decoding("block columns"):
+            data = base64.b64decode(block["data"], validate=True)
+            return cls(block["columns"], memoryview(data))
+
+    def get(self, index: Any, kind: str) -> np.ndarray:
+        """Column ``index``, which must hold dtype ``kind``."""
+        if type(index) is not int or not 0 <= index < len(self._views):
+            raise MeasurementError(f"column index {index!r} out of range")
+        view = self._views[index]
+        if view.dtype.str != _DTYPES[kind]:
+            raise MeasurementError(
+                f"column {index} holds {view.dtype.str}, not {_DTYPES[kind]}"
+            )
+        return view
+
+
+# ----------------------------------------------------------------------
+# Specs: a sketch, a day of aggregates, diff rows, a day of diff sketches
+# ----------------------------------------------------------------------
+
+#: The int64 columns of a sketch spec.
+_SKETCH_COLUMNS = ("pos_keys", "pos_counts", "neg_keys", "neg_counts")
 
 
 def _sketch_spec(sketch: LatencySketch, columns: _ColumnWriter) -> Dict[str, Any]:
-    state = sketch.column_state()
-    return {
-        "mantissa_bits": state["mantissa_bits"],
-        "base_mantissa_bits": state["base_mantissa_bits"],
-        "max_buckets": state["max_buckets"],
-        "min_trackable": state["min_trackable"],
-        "pos_keys": columns.put(state["pos_keys"]),
-        "pos_counts": columns.put(state["pos_counts"]),
-        "neg_keys": columns.put(state["neg_keys"]),
-        "neg_counts": columns.put(state["neg_counts"]),
-        "zero": state["zero"],
-        "count": state["count"],
-        "min": state["min"],
-        "max": state["max"],
-        "sum": state["sum"],
-    }
+    spec = sketch.column_state()
+    for key in _SKETCH_COLUMNS:
+        spec[key] = columns.put(spec[key])
+    return spec
 
 
 def _sketch_from_spec(
     spec: Dict[str, Any], columns: _ColumnReader
 ) -> LatencySketch:
+    arrays = {key: columns.get(spec[key], "i8") for key in _SKETCH_COLUMNS}
+    if (
+        arrays["pos_keys"].size != arrays["pos_counts"].size
+        or arrays["neg_keys"].size != arrays["neg_counts"].size
+    ):
+        raise MeasurementError("sketch key and count columns differ in length")
     return LatencySketch.from_columns(
         mantissa_bits=spec["mantissa_bits"],
         base_mantissa_bits=spec["base_mantissa_bits"],
         max_buckets=spec["max_buckets"],
         min_trackable=spec["min_trackable"],
-        pos_keys=columns.get(spec["pos_keys"]),
-        pos_counts=columns.get(spec["pos_counts"]),
-        neg_keys=columns.get(spec["neg_keys"]),
-        neg_counts=columns.get(spec["neg_counts"]),
         zero=spec["zero"],
         count=spec["count"],
         minimum=spec["min"],
         maximum=spec["max"],
         total=spec["sum"],
+        **arrays,
     )
+
+
+def _day_spec(
+    aggregates: GroupedDailyAggregates, day: int, columns: _ColumnWriter
+) -> Dict[str, Any]:
+    # A day's exact digests coalesce into a single float64 column; each
+    # row records its [start, stop) slice instead of a column index.
+    # One tobytes per day instead of one per digest is what keeps
+    # encode (and the mirrored decode) at memcpy speed — a paper-scale
+    # day holds tens of thousands of digests.
+    rows: List[Any] = []
+    chunks: List[np.ndarray] = []
+    offset = 0
+    for group, target_id, digest in aggregates.iter_day(day):
+        if digest.is_exact:
+            view = digest.values_view()
+            rows.append([group, target_id, offset, offset + view.size])
+            if view.size:
+                chunks.append(view)
+                offset += view.size
+        else:
+            assert digest.sketch is not None
+            rows.append(
+                [group, target_id, _sketch_spec(digest.sketch, columns)]
+            )
+    return {
+        "rows": rows,
+        "samples": columns.put(np.concatenate(chunks)) if chunks else None,
+    }
+
+
+def _apply_day_spec(
+    aggregates: GroupedDailyAggregates,
+    day: int,
+    spec: Dict[str, Any],
+    columns: _ColumnReader,
+) -> None:
+    # Exact digests decode in bulk from the day's sample column: one
+    # reduceat pair recovers every digest's extrema and the zero-copy
+    # run sink appends the slices.  A per-digest extend() would pay a
+    # Python call plus two tiny numpy reductions for each of tens of
+    # thousands of digests.
+    with _decoding(f"day {day} block"):
+        values = (
+            np.empty(0)
+            if spec["samples"] is None
+            else columns.get(spec["samples"], "f8")
+        )
+        cells = aggregates._days.setdefault(day, {}) if spec["rows"] else {}
+        exact: List[Any] = []
+        for row in spec["rows"]:
+            if len(row) == 4:
+                exact.append(row)
+                continue
+            group, target_id, sketch_spec = row
+            cells.setdefault(group, {})[target_id] = LatencyDigest.from_sketch(
+                _sketch_from_spec(sketch_spec, columns),
+                exact_threshold=aggregates.exact_threshold,
+                relative_accuracy=aggregates.relative_accuracy,
+                max_buckets=aggregates.max_buckets,
+            )
+        starts = np.fromiter((row[2] for row in exact), np.int64, len(exact))
+        stops = np.fromiter((row[3] for row in exact), np.int64, len(exact))
+    # The exact rows tile the column in order: each start is the
+    # previous stop (0 first), no slice runs backwards, and the last
+    # stop is the column length.
+    edges = np.concatenate(([0], stops))
+    if not (
+        np.array_equal(starts, edges[:-1])
+        and edges[-1] == values.size
+        and (stops >= starts).all()
+    ):
+        raise MeasurementError(
+            f"day {day}: exact rows do not tile the day's "
+            f"{values.size}-sample column in order"
+        )
+    full = stops > starts
+    for group, target_id, _, _ in compress(exact, ~full):
+        cells.setdefault(group, {})[target_id] = aggregates._new_digest()
+    if not full.any():
+        return
+    starts, stops = starts[full], stops[full]
+    aggregates.observe_runs(
+        day,
+        [
+            (row[0], row[1], start, stop, low, high)
+            for row, start, stop, low, high in zip(
+                compress(exact, full),
+                starts.tolist(),
+                stops.tolist(),
+                np.minimum.reduceat(values, starts).tolist(),
+                np.maximum.reduceat(values, starts).tolist(),
+            )
+        ],
+        values,
+    )
+
+
+#: The columns of a diff-row spec: (spec key, log array, dtype).
+_DIFF_COLUMNS = (
+    ("day", "_day", "i4"),
+    ("client_index", "_client_index", "i4"),
+    ("region_code", "_region_code", "i1"),
+    ("anycast", "_anycast", "f4"),
+    ("best_unicast", "_best_unicast", "f4"),
+)
+
+
+def _diff_rows_spec(
+    diffs: RequestDiffLog, start: int, stop: int, columns: _ColumnWriter
+) -> Dict[str, Any]:
+    spec: Dict[str, Any] = {
+        key: columns.put(
+            np.frombuffer(getattr(diffs, name), _DTYPES[kind])[start:stop]
+        )
+        for key, name, kind in _DIFF_COLUMNS
+    }
+    spec["region_names"] = list(diffs.region_names)
+    return spec
+
+
+def _apply_diff_rows_spec(
+    diffs: RequestDiffLog, spec: Dict[str, Any], columns: _ColumnReader
+) -> None:
+    with _decoding("request-diff block"):
+        names = [str(name) for name in spec["region_names"]]
+        cols = {
+            key: columns.get(spec[key], kind)
+            for key, _, kind in _DIFF_COLUMNS
+        }
+    region = cols["region_code"]
+    if len({col.size for col in cols.values()}) != 1:
+        raise MeasurementError("request-diff columns differ in length")
+    if region.size and not 0 <= region.min() <= region.max() < len(names):
+        raise MeasurementError("request-diff region code has no region name")
+    # Region codes remap through the names: the log may have met its
+    # regions in another order.
+    codes = np.asarray([diffs.region_code(n) for n in names], dtype=np.int8)
+    cols["region_code"] = codes[region]
+    for key, name, _ in _DIFF_COLUMNS:
+        getattr(diffs, name).frombytes(cols[key].tobytes())
+
+
+def _diff_sketches_spec(
+    diffs: RequestDiffLog, day: int, columns: _ColumnWriter
+) -> Dict[str, Any]:
+    return {
+        "sketches": [
+            [region, _sketch_spec(sketch, columns)]
+            for (of_day, region), sketch in sorted(diffs._sketches.items())
+            if of_day == day
+        ]
+    }
+
+
+def _apply_diff_sketches_spec(
+    diffs: RequestDiffLog,
+    day: int,
+    spec: Dict[str, Any],
+    columns: _ColumnReader,
+) -> None:
+    with _decoding(f"day {day} diff-sketch block"):
+        sketches = [
+            (str(region), _sketch_from_spec(sketch_spec, columns))
+            for region, sketch_spec in spec["sketches"]
+        ]
+    for region, sketch in sketches:
+        diffs.region_code(region)
+        mine = diffs._sketches.get((day, region))
+        if mine is None:
+            diffs._sketches[(day, region)] = sketch
+        else:
+            mine.merge(sketch)
+        diffs._total += sketch.count
+
+
+# ----------------------------------------------------------------------
+# JSON blocks (framed export, window checkpoint) and passive days.  The
+# apply_* readers raise MeasurementError on a block that fails a check.
+# ----------------------------------------------------------------------
+
+
+def encode_day_block(
+    aggregates: GroupedDailyAggregates, day: int
+) -> Dict[str, Any]:
+    """One day of aggregates as a JSON block."""
+    columns = _ColumnWriter()
+    return columns.block(_day_spec(aggregates, day, columns))
+
+
+def apply_day_block(
+    aggregates: GroupedDailyAggregates, day: int, block: Dict[str, Any]
+) -> None:
+    """Add an :func:`encode_day_block` block's cells to ``aggregates``."""
+    _apply_day_spec(aggregates, day, block, _ColumnReader.of_block(block))
+
+
+def encode_diff_rows(
+    diffs: RequestDiffLog, start: int, stop: int
+) -> Dict[str, Any]:
+    """Rows ``[start, stop)`` of an exact diff log as a JSON block."""
+    columns = _ColumnWriter()
+    return columns.block(_diff_rows_spec(diffs, start, stop, columns))
+
+
+def apply_diff_rows(diffs: RequestDiffLog, block: Dict[str, Any]) -> None:
+    """Append an :func:`encode_diff_rows` block's rows to ``diffs``."""
+    _apply_diff_rows_spec(diffs, block, _ColumnReader.of_block(block))
+
+
+def encode_diff_sketches(diffs: RequestDiffLog, day: int) -> Dict[str, Any]:
+    """One day of a bounded diff log's region sketches as a JSON block."""
+    columns = _ColumnWriter()
+    return columns.block(_diff_sketches_spec(diffs, day, columns))
+
+
+def apply_diff_sketches(
+    diffs: RequestDiffLog, day: int, block: Dict[str, Any]
+) -> None:
+    """Merge an :func:`encode_diff_sketches` block into ``diffs``."""
+    columns = _ColumnReader.of_block(block)
+    _apply_diff_sketches_spec(diffs, day, block, columns)
+
+
+def passive_day_obj(passive: PassiveLog, day: int) -> Dict[str, Any]:
+    """One day of a passive log: front end → count when bounded, else
+    client → front end → count."""
+    if passive.is_bounded:
+        return passive.day_totals(day)
+    return dict(passive.iter_day(day))
+
+
+def apply_passive_day(
+    passive: PassiveLog, day: int, obj: Dict[str, Any]
+) -> None:
+    """Add a :func:`passive_day_obj` day's counts to ``passive``."""
+    with _decoding(f"day {day} passive counts"):
+        per_client = {"": obj} if passive.is_bounded else obj
+        for client_key, counts in per_client.items():
+            for frontend_id, count in counts.items():
+                passive.record(day, client_key, frontend_id, int(count))
+
+
+# ----------------------------------------------------------------------
+# The binary shard payload
+# ----------------------------------------------------------------------
 
 
 def _aggregates_spec(
     aggregates: GroupedDailyAggregates, columns: _ColumnWriter
 ) -> Dict[str, Any]:
-    # Exact digests for one day coalesce into a single float64 column;
-    # each row records its [start, stop) slice instead of a column
-    # index.  One tobytes per day instead of one per digest is what
-    # keeps encode (and the mirrored decode) at memcpy speed — a
-    # paper-scale day holds tens of thousands of digests.
-    days: Dict[int, Dict[str, Any]] = {}
-    for day in aggregates.days:
-        rows: List[Any] = []
-        chunks: List[np.ndarray] = []
-        offset = 0
-        for group, target_id, digest in aggregates.iter_day(day):
-            if digest.is_exact:
-                view = digest.values_view()
-                rows.append(
-                    [group, target_id, offset, offset + view.size]
-                )
-                if view.size:
-                    chunks.append(view)
-                    offset += view.size
-            else:
-                assert digest.sketch is not None
-                rows.append(
-                    [group, target_id, _sketch_spec(digest.sketch, columns)]
-                )
-        days[day] = {
-            "rows": rows,
-            "samples": (
-                columns.put(np.concatenate(chunks)) if chunks else None
-            ),
-        }
     return {
         "grouping": aggregates.grouping,
         "exact_threshold": aggregates.exact_threshold,
         "relative_accuracy": aggregates.relative_accuracy,
         "max_buckets": aggregates.max_buckets,
-        "days": days,
+        "days": {
+            day: _day_spec(aggregates, day, columns)
+            for day in aggregates.days
+        },
     }
 
 
@@ -198,138 +463,43 @@ def _aggregates_from_spec(
         max_buckets=spec["max_buckets"],
     )
     for day, day_spec in spec["days"].items():
-        day = int(day)
-        per_day = aggregates._days.setdefault(day, {})
-        # Exact digests decode in bulk from the day's coalesced sample
-        # column: one reduceat pair recovers every digest's extrema and
-        # the zero-copy run sink appends the slices.  A per-digest
-        # extend() would pay a Python call plus two tiny numpy
-        # reductions for each of tens of thousands of digests.
-        values: Optional[np.ndarray] = None
-        if day_spec["samples"] is not None:
-            values = columns.get(day_spec["samples"])
-        runs: List[Tuple[str, str, int, int]] = []
-        for row in day_spec["rows"]:
-            if isinstance(row[2], dict):
-                group, target_id, sketch_spec = row
-                digest = LatencyDigest.from_sketch(
-                    _sketch_from_spec(sketch_spec, columns),
-                    exact_threshold=spec["exact_threshold"],
-                    relative_accuracy=spec["relative_accuracy"],
-                    max_buckets=spec["max_buckets"],
-                )
-                per_day.setdefault(group, {})[target_id] = digest
-                continue
-            group, target_id, start, stop = row
-            if start == stop:
-                per_day.setdefault(group, {})[target_id] = (
-                    aggregates._new_digest()
-                )
-                continue
-            runs.append((group, target_id, start, stop))
-        if not runs:
-            continue
-        assert values is not None
-        starts = np.fromiter(
-            (run[2] for run in runs), dtype=np.intp, count=len(runs)
-        )
-        lows = np.minimum.reduceat(values, starts)
-        highs = np.maximum.reduceat(values, starts)
-        aggregates.observe_runs(
-            day,
-            [
-                (group, target_id, start, stop, lows[i], highs[i])
-                for i, (group, target_id, start, stop) in enumerate(runs)
-            ],
-            values,
-        )
+        _apply_day_spec(aggregates, day, day_spec, columns)
     return aggregates
 
 
 def _diffs_spec(diffs: RequestDiffLog, columns: _ColumnWriter) -> Dict[str, Any]:
-    if diffs.is_bounded:
-        return {
-            "bounded": True,
-            "relative_accuracy": diffs.relative_accuracy,
-            "max_buckets": diffs.max_buckets,
-            "region_names": list(diffs.region_names),
-            "total": len(diffs),
-            "sketches": [
-                [day, region, _sketch_spec(sketch, columns)]
-                for (day, region), sketch in sorted(
-                    diffs.day_region_sketches().items()
-                )
-            ],
-        }
+    if not diffs.is_bounded:
+        spec = _diff_rows_spec(diffs, 0, len(diffs), columns)
+        return {"bounded": False, **spec}
     return {
-        "bounded": False,
+        "bounded": True,
+        "relative_accuracy": diffs.relative_accuracy,
+        "max_buckets": diffs.max_buckets,
         "region_names": list(diffs.region_names),
-        "day": columns.put_buffer(diffs._day, "=i4"),
-        "client_index": columns.put_buffer(diffs._client_index, "=i4"),
-        "region_code": columns.put_buffer(diffs._region_code, "=i1"),
-        "anycast": columns.put_buffer(diffs._anycast, "=f4"),
-        "best_unicast": columns.put_buffer(diffs._best_unicast, "=f4"),
+        "days": {
+            day: _diff_sketches_spec(diffs, day, columns)
+            for day in sorted({day for day, _ in diffs._sketches})
+        },
     }
 
 
 def _diffs_from_spec(
     spec: Dict[str, Any], columns: _ColumnReader
 ) -> RequestDiffLog:
-    if spec["bounded"]:
-        diffs = RequestDiffLog(
-            bounded=True,
-            relative_accuracy=spec["relative_accuracy"],
-            max_buckets=spec["max_buckets"],
-        )
-        for name in spec["region_names"]:
-            diffs.region_code(name)
-        for day, region, sketch_spec in spec["sketches"]:
-            diffs._sketches[(int(day), region)] = _sketch_from_spec(
-                sketch_spec, columns
-            )
-        diffs._total = int(spec["total"])
+    if not spec["bounded"]:
+        diffs = RequestDiffLog()
+        _apply_diff_rows_spec(diffs, spec, columns)
         return diffs
-    diffs = RequestDiffLog()
+    diffs = RequestDiffLog(
+        bounded=True,
+        relative_accuracy=spec["relative_accuracy"],
+        max_buckets=spec["max_buckets"],
+    )
     for name in spec["region_names"]:
         diffs.region_code(name)
-    diffs._day.frombytes(columns.get(spec["day"]).tobytes())
-    diffs._client_index.frombytes(
-        columns.get(spec["client_index"]).tobytes()
-    )
-    diffs._region_code.frombytes(
-        columns.get(spec["region_code"]).tobytes()
-    )
-    diffs._anycast.frombytes(columns.get(spec["anycast"]).tobytes())
-    diffs._best_unicast.frombytes(
-        columns.get(spec["best_unicast"]).tobytes()
-    )
+    for day, day_spec in spec["days"].items():
+        _apply_diff_sketches_spec(diffs, day, day_spec, columns)
     return diffs
-
-
-def _passive_spec(passive: PassiveLog) -> Dict[str, Any]:
-    if passive.is_bounded:
-        return {
-            "bounded": True,
-            "totals": {
-                day: passive.day_totals(day) for day in passive.days
-            },
-        }
-    return {"bounded": False, "days": passive._days}
-
-
-def _passive_from_spec(spec: Dict[str, Any]) -> PassiveLog:
-    if spec["bounded"]:
-        passive = PassiveLog(bounded=True)
-        for day, totals in spec["totals"].items():
-            for frontend_id, count in totals.items():
-                passive.record(int(day), "", frontend_id, int(count))
-        return passive
-    passive = PassiveLog()
-    for day, per_client in spec["days"].items():
-        for client_key, counts in per_client.items():
-            for frontend_id, count in counts.items():
-                passive.record(int(day), client_key, frontend_id, int(count))
-    return passive
 
 
 def encode_shard_payload(
@@ -346,7 +516,13 @@ def encode_shard_payload(
         "client_count": len(dataset.clients),
         "ecs": _aggregates_spec(dataset.ecs_aggregates, columns),
         "diffs": _diffs_spec(dataset.request_diffs, columns),
-        "passive": _passive_spec(dataset.passive),
+        "passive": {
+            "bounded": dataset.passive.is_bounded,
+            "days": {
+                day: passive_day_obj(dataset.passive, day)
+                for day in dataset.passive.days
+            },
+        },
         "snapshot": snapshot,
         "quarantine": quarantine,
         "columns": columns.table,
@@ -368,9 +544,9 @@ def decode_shard_payload(
 
     Raises:
         MeasurementError: when the payload is not a columnar shard
-            encoding or its buffer table disagrees with its length (the
-            SHA-256 envelope check should catch corruption first; this
-            is the structural backstop).
+            encoding or fails the codec's checks (the SHA-256 envelope
+            check should catch corruption first; this is the structural
+            backstop).
     """
     if payload[: len(MAGIC)] != MAGIC:
         raise MeasurementError(
@@ -391,21 +567,20 @@ def decode_shard_payload(
     columns = _ColumnReader(
         manifest["columns"], memoryview(payload)[manifest_end:]
     )
-    if manifest_end + columns.consumed != len(payload):
-        raise MeasurementError(
-            "shard payload length disagrees with its buffer table"
-        )
     if manifest["client_count"] != len(clients):
         raise MeasurementError(
             "shard payload was produced over a different client "
             f"population ({manifest['client_count']} != {len(clients)})"
         )
+    passive = PassiveLog(bounded=manifest["passive"]["bounded"])
+    for day, counts in manifest["passive"]["days"].items():
+        apply_passive_day(passive, day, counts)
     dataset = StudyDataset(
         calendar=manifest["calendar"],
         clients=clients,
         ecs_aggregates=_aggregates_from_spec(manifest["ecs"], columns),
         request_diffs=_diffs_from_spec(manifest["diffs"], columns),
-        passive=_passive_from_spec(manifest["passive"]),
+        passive=passive,
         beacon_count=manifest["beacon_count"],
         measurement_count=manifest["measurement_count"],
         covered_ranges=manifest["covered_ranges"],

@@ -2,25 +2,34 @@
 
 import base64
 import io
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.clients.population import ClientPopulationConfig
 from repro.errors import MeasurementError, ValidationError
 from repro.analysis.poor_paths import poor_path_prevalence
 from repro.analysis.prediction_eval import evaluate_prediction
+from repro.measurement.aggregate import GroupedDailyAggregates, RequestDiffLog
 from repro.measurement.export import (
     _dataset_frames,
     load_dataset,
     recover_dataset,
     save_dataset,
 )
+from repro.measurement.logs import PassiveLog
 from repro.measurement.storage import read_segment_text, write_segment_file
 from repro.simulation.campaign import CampaignConfig, CampaignRunner
 from repro.simulation.clock import SimulationCalendar
+from repro.simulation.dataset import StudyDataset
 from repro.simulation.scenario import Scenario, ScenarioConfig
+from repro.simulation.transport import apply_day_block, encode_day_block
+
+from .helpers import make_client
 
 
 def _framed_stream(frames):
@@ -104,9 +113,10 @@ def test_stream_round_trip(small_dataset):
 
 
 def test_unknown_version_rejected(small_dataset):
-    # Versions 2 and 3 are retired framed layouts (3 also stored an LDNS
-    # copy of every measurement); only the current one loads.
-    for version in (2, 3, 99):
+    # Versions 2 to 4 are retired framed layouts (3 also stored an LDNS
+    # copy of every measurement, 4 a per-cell JSON codec); only the
+    # current one loads.
+    for version in (2, 3, 4, 99):
         frames = list(_dataset_frames(small_dataset))
         frames[0]["format_version"] = version
         with pytest.raises(
@@ -129,16 +139,6 @@ def test_header_fields_are_required(small_dataset, field):
         load_dataset(_framed_stream(frames))
 
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from repro.measurement.aggregate import GroupedDailyAggregates
-from repro.measurement.export import (
-    _aggregate_day_rows,
-    _apply_aggregate_rows,
-)
-
-
 @given(
     st.lists(
         st.tuples(
@@ -152,12 +152,14 @@ from repro.measurement.export import (
 )
 @settings(max_examples=40)
 def test_aggregate_serialization_round_trip_property(samples):
+    """Every day's cells survive the export's day block, JSON included."""
     before = GroupedDailyAggregates("ecs")
     for day, group, target, rtt in samples:
         before.observe(day, group, target, rtt)
     after = GroupedDailyAggregates("ecs")
     for day in before.days:
-        _apply_aggregate_rows(after, day, _aggregate_day_rows(before, day))
+        block = json.loads(json.dumps(encode_day_block(before, day)))
+        apply_day_block(after, day, block)
     assert after.days == before.days
     for day in before.days:
         before_rows = sorted(
@@ -169,14 +171,33 @@ def test_aggregate_serialization_round_trip_property(samples):
         assert before_rows == after_rows
 
 
+def _block_columns(block):
+    """The numpy columns of a JSON block, in table order."""
+    data = base64.b64decode(block["data"])
+    columns, offset = [], 0
+    for dtype, count in block["columns"]:
+        size = np.dtype(dtype).itemsize * count
+        columns.append(np.frombuffer(data[offset : offset + size], dtype))
+        offset += size
+    return columns
+
+
+def _set_block_columns(block, columns):
+    block["columns"] = [[c.dtype.str, int(c.size)] for c in columns]
+    block["data"] = base64.b64encode(
+        b"".join(c.tobytes() for c in columns)
+    ).decode("ascii")
+
+
 def test_framed_parse_rejects_a_crc_valid_negative_sample(tmp_path, capsys):
     """The framed-parse load boundary gates values, not just CRCs.
 
     One aggregates frame of a saved export is rewritten, with a valid
-    CRC, to carry a -5.0 ms sample.  Both framed parses (``load_dataset``
-    re-parses because the file's fingerprint no longer matches its
-    sidecar, and ``recover_dataset``) fail strictly, and ``repro
-    analyze`` prints one error line and exits 2.
+    CRC, so its day block's sample column carries a -5.0 ms sample.
+    Both framed parses (``load_dataset`` re-parses because the file's
+    fingerprint no longer matches its sidecar, and ``recover_dataset``)
+    fail strictly, and ``repro analyze`` prints one error line and
+    exits 2.
     """
     scenario = Scenario.build(
         ScenarioConfig(
@@ -191,13 +212,12 @@ def test_framed_parse_rejects_a_crc_valid_negative_sample(tmp_path, capsys):
     )
     with open(path, "r", encoding="utf-8", newline="") as handle:
         frames, _ = read_segment_text(handle.read(), strict=True)
-    frame = next(f for f in frames if f.get("kind") == "aggregates")
-    group, target_id, payload = frame["rows"][0]
-    values = np.frombuffer(base64.b64decode(payload), dtype=np.float64)
-    poisoned = np.append(values, -5.0)
-    frame["rows"][0] = [
-        group, target_id, base64.b64encode(poisoned.tobytes()).decode("ascii")
-    ]
+    block = next(f for f in frames if f.get("kind") == "aggregates")["block"]
+    columns = _block_columns(block)
+    poisoned = columns[block["samples"]].copy()
+    poisoned[0] = -5.0
+    columns[block["samples"]] = poisoned
+    _set_block_columns(block, columns)
     write_segment_file(path, frames)
 
     with pytest.raises(ValidationError, match="negative-rtt"):
@@ -208,3 +228,82 @@ def test_framed_parse_rejects_a_crc_valid_negative_sample(tmp_path, capsys):
     assert main(["analyze", path, "--figures", "fig3"]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: invalid record")
+
+
+def _sketch_dataset():
+    """One client whose only cell is promoted to a sketch."""
+    ecs = GroupedDailyAggregates("ecs", exact_threshold=2)
+    ecs.observe_many(0, make_client(1).key, "anycast", [10.0, 20.0, 300.0])
+    return StudyDataset(
+        calendar=SimulationCalendar(num_days=1),
+        clients=(make_client(1),),
+        ecs_aggregates=ecs,
+        request_diffs=RequestDiffLog(),
+        passive=PassiveLog(),
+        measurement_count=3,
+    )
+
+
+def _foreign_dtype(block, columns):
+    block["columns"][block["samples"]][0] = ">f8"
+
+
+def _byte_total(block, columns):
+    block["columns"][block["samples"]][1] += 1
+
+
+def _exact_rows(block):
+    return [row for row in block["rows"] if len(row) == 4]
+
+
+def _overlap(block, columns):
+    _exact_rows(block)[1][2] -= 1
+
+
+def _gap(block, columns):
+    _exact_rows(block)[1][2] += 1
+
+
+def _past_the_end(block, columns):
+    _exact_rows(block)[-1][3] += 1
+
+
+def _short_counts(block, columns):
+    (sketch,) = [row[2] for row in block["rows"] if len(row) == 3]
+    columns[sketch["pos_counts"]] = columns[sketch["pos_counts"]][:-1]
+    _set_block_columns(block, columns)
+
+
+@pytest.mark.parametrize(
+    "poison, message",
+    [
+        (_foreign_dtype, "column dtype '>f8' is not one the codec writes"),
+        (_byte_total, "column table describes"),
+        (_overlap, "exact rows do not tile"),
+        (_gap, "exact rows do not tile"),
+        (_past_the_end, "exact rows do not tile"),
+        (_short_counts, "sketch key and count columns differ in length"),
+    ],
+    ids=["dtype", "byte-total", "overlap", "gap", "past-the-end", "sketch"],
+)
+def test_framed_parse_rejects_a_crc_valid_malformed_block(
+    small_dataset, tmp_path, capsys, poison, message
+):
+    """A day block that fails the codec's checks, in a frame whose CRC
+    is valid, fails the stream load, the salvage and ``repro analyze``
+    with one error line each."""
+    dataset = _sketch_dataset() if poison is _short_counts else small_dataset
+    frames = list(_dataset_frames(dataset))
+    block = next(f for f in frames if f.get("kind") == "aggregates")["block"]
+    poison(block, _block_columns(block))
+    path = str(tmp_path / "poisoned.json")
+    write_segment_file(path, frames)
+
+    with pytest.raises(MeasurementError, match=message):
+        load_dataset(_framed_stream(frames))
+    with pytest.raises(MeasurementError, match=message):
+        recover_dataset(path)
+    capsys.readouterr()
+    assert main(["analyze", path, "--figures", "fig3"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and message in err[0]

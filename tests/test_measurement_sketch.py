@@ -9,7 +9,7 @@ Hypothesis-generated sample multisets:
   cap-forced compression (the bound doubles per halving and the sketch
   reports the widened bound);
 * scalar/vectorized insert parity (``add`` loop == one ``extend``);
-* serialization round trips.
+* the column-state round trip the dataset codec encodes sketches with.
 """
 
 import math
@@ -133,21 +133,6 @@ def test_extend_equals_add_loop(values):
 
 @given(sample_lists, caps)
 @relaxed
-def test_obj_round_trip(values, cap):
-    sketch = sketch_of(values, cap)
-    restored = LatencySketch.from_obj(sketch.to_obj())
-    assert restored.digest() == sketch.digest()
-    assert restored.count == sketch.count
-    assert restored.minimum() == sketch.minimum()
-    assert restored.maximum() == sketch.maximum()
-    assert restored.compressions == sketch.compressions
-    # The round-tripped sketch is live: inserts and merges still work.
-    restored.add(1.0)
-    assert restored.count == sketch.count + 1
-
-
-@given(sample_lists, caps)
-@relaxed
 def test_column_round_trip(values, cap):
     sketch = sketch_of(values, cap)
     state = sketch.column_state()
@@ -223,16 +208,6 @@ def test_invalid_construction_and_inserts():
         sketch.quantile(50.0)
     with pytest.raises(AnalysisError):
         sketch.minimum()
-
-
-def test_from_obj_rejects_malformed():
-    obj = sketch_of([1.0]).to_obj()
-    with pytest.raises(MeasurementError):
-        LatencySketch.from_obj({**obj, "schema": 99})
-    broken = dict(obj)
-    del broken["pos_keys"]
-    with pytest.raises(MeasurementError):
-        LatencySketch.from_obj(broken)
 
 
 def test_mantissa_bits_for_accuracy_map():

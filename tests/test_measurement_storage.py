@@ -125,8 +125,9 @@ class TestCheckpointEnvelope:
             read_checkpoint(path, "unit", self.IDENTITY)
 
     def test_other_format_version_reads_as_none(self, tmp_path, monkeypatch):
-        # Version 2 envelopes held payloads with an LDNS plane.
-        for version in (1, 2):
+        # Version 2 envelopes held payloads with an LDNS plane, version
+        # 3 service payloads a per-cell window codec.
+        for version in (1, 2, 3):
             monkeypatch.setattr(storage, "CHECKPOINT_FORMAT_VERSION", version)
             path = self._write(tmp_path)
             monkeypatch.undo()
