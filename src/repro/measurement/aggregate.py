@@ -582,6 +582,19 @@ class GroupedDailyAggregates:
             for target_id, digest in per_group.items():
                 yield group, target_id, digest
 
+    def exact_samples(self, day: int) -> np.ndarray:
+        """Every exact-mode sample of one day as one float64 column, in
+        :meth:`iter_day` order (one join over the cells' buffers)."""
+        return np.frombuffer(
+            b"".join(
+                digest._values
+                for per_group in self._days.get(day, {}).values()
+                for digest in per_group.values()
+                if digest._values is not None
+            ),
+            np.float64,
+        )
+
     def sketch_stats(self) -> Tuple[int, int, int, int, int]:
         """Compression accounting: ``(exact_digests, sketch_digests,
         sketch_buckets, sketch_samples, resolution_halvings)`` across

@@ -499,6 +499,26 @@ class ValidationGate:
         return None if admitted is None else int(admitted)
 
 
+def _valid_day_records(aggregates, day: int) -> Optional[int]:
+    """One day's record count when all its samples are valid, else None.
+
+    The day's exact samples are checked in one comparison over their
+    joined column; sketch-mode digests are checked on their extrema.
+    """
+    records = 0
+    for _, _, digest in aggregates.iter_day(day):
+        if digest.is_exact or not digest.count:
+            continue
+        if digest.minimum() < 0.0 or digest.maximum() > MAX_PLAUSIBLE_RTT_MS:
+            return None
+        records += digest.count
+    values = aggregates.exact_samples(day)
+    with np.errstate(invalid="ignore"):
+        if not ((values >= 0.0) & (values <= MAX_PLAUSIBLE_RTT_MS)).all():
+            return None
+    return records + int(values.size)
+
+
 def validate_dataset(
     dataset,
     policy: "ValidationPolicy | str" = ValidationPolicy.LENIENT,
@@ -524,6 +544,12 @@ def validate_dataset(
     removed = 0
     aggregates = dataset.ecs_aggregates
     for day in aggregates.days:
+        records = _valid_day_records(aggregates, day)
+        if records is not None:
+            gate.records_total += records
+            continue
+        # A day holding a bad sample goes cell by cell, which locates
+        # each bad record and applies the policy to it.
         for group, target_id, digest in aggregates.iter_day(day):
             if not digest.is_exact:
                 # Sketch-mode digests retain no samples to rescan; the

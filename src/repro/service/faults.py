@@ -7,7 +7,8 @@ tests' kill point) and ``exception`` (a transient error surfaces and
 the supervisor restarts the loop).  Faults compile exactly like a
 1-shard campaign: the plan's n-th service fault fires on the n-th
 *attempt* (restart), and each firing point pins to a seed-derived event
-ordinal, so a chaos run kills at the same record on every execution —
+ordinal (the loop cuts its day blocks there), so a chaos run kills at
+the same record on every execution —
 which is what makes "killed, resumed, bit-identical" a deterministic
 assertion instead of a race.
 """
@@ -84,12 +85,12 @@ class ServiceFaultInjector:
         ) % self.horizon
 
     def on_event(self, cursor: int) -> None:
-        """Kill point: called once per event with its stream ordinal.
+        """Kill point: fires once the cursor reaches :attr:`fire_at`.
 
-        Fires when the cursor reaches the derived ordinal.  A resumed
-        run whose restored cursor already passed a later attempt's
-        ordinal fires at the first event it processes — the fault is
-        late, never lost.
+        The loop cuts its day blocks at :attr:`fire_at` and calls this
+        there, also when the ordinal lies inside the prefix a resumed
+        run skips, so the fault fires at the same event ordinal however
+        the stream is blocked.
         """
         if self.kind is None or self.fired or cursor < self.fire_at:
             return

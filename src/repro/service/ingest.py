@@ -7,9 +7,17 @@ the batch campaign uses, folding admitted beacons into the sliding
 :class:`~repro.service.window.PredictionWindow`, and re-evaluating the
 §6 prediction at every day close.  The §6 predictor acts only at day
 close, so nothing is decided between two events of one day: the loop is
-one synchronous pass over the source in source order.  Every state
-change is a pure function of the admitted-event stream, and wall-clock
-only ever affects pacing and telemetry, never data.
+one synchronous pass over the source's
+:class:`~repro.service.events.EventStream`, one beacon block at a time.
+A block is admitted by one bulk gate probe, folded into the window by
+one :meth:`~repro.service.window.PredictionWindow.observe_block` and
+hashed by one :meth:`~repro.service.events.StreamDigest.update_block`;
+a block holding an invalid value falls back to the scalar gate, value
+by value in stream order.  The cursor, the fault kill points, resume
+skipping and mid-day spills all stay in event ordinals: a block is cut
+at exactly those points.  Every state change is a pure function of the
+admitted-event stream, and wall-clock only ever affects pacing and
+telemetry, never data.
 
 Crash safety is checkpoint-and-replay: the loop periodically spills its
 whole state (cursor, window, quarantine, stream digest, closed-day
@@ -30,6 +38,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Sequence
 
+import numpy as np
+
 from repro.core.predictor import PredictorConfig
 from repro.errors import ConfigurationError
 from repro.faults.inject import InjectedTransientError
@@ -48,10 +58,12 @@ from repro.service.checkpoint import (
     write_service_checkpoint,
 )
 from repro.service.events import (
-    BeaconEvent,
+    BeaconBlock,
+    EventStream,
     PassiveEvent,
     StreamDigest,
     StreamEvent,
+    StreamItem,
 )
 from repro.service.faults import ServiceFaultInjector, compile_service_plan
 from repro.service.predictor import (
@@ -271,6 +283,9 @@ class LiveService:
         self._since_checkpoint = 0
         self._resumed_from = 0
         self._injector: Optional[ServiceFaultInjector] = None
+        # Pacing starts at the first event an attempt processes: a
+        # resume does not wait through the prefix it skips.
+        self._paced_day: Optional[int] = None
 
     def _identity(self) -> Dict[str, Any]:
         identity = self.config.identity()
@@ -331,7 +346,7 @@ class LiveService:
         self._since_checkpoint = 0
 
     # ------------------------------------------------------------------
-    # Per-event processing (synchronous, deterministic)
+    # Block processing (synchronous, deterministic)
     # ------------------------------------------------------------------
 
     def _close_day(self, day: int) -> None:
@@ -383,50 +398,96 @@ class LiveService:
         for stale in range(self._current_day, day):
             self._close_day(stale)
 
-    def _process(self, event: StreamEvent) -> None:
-        self._advance_day_to(event.day)
-        if isinstance(event, BeaconEvent):
-            admitted = self.gate.admit(
-                event.day, event.client_key, -1, event.rtt_ms
-            )
-            if admitted is None:
-                return
-            if admitted != event.rtt_ms:
-                # Repair policy clamped the value: everything downstream
-                # (window, digest) sees the admitted record.
-                event = dataclasses.replace(event, rtt_ms=admitted)
-            if self.window.observe(event):
-                self.stream.update(event)
-                self._beacons_admitted += 1
-                if event.day == self._current_day:
-                    self._day_beacons += 1
-        else:
-            admitted_count = self.gate.admit_count(
-                event.day, event.client_key, event.frontend_id, event.count
-            )
-            if admitted_count is None:
-                return
-            if admitted_count != event.count:
-                event = dataclasses.replace(event, count=admitted_count)
-            self.stream.update(event)
-            self._passive_admitted += 1
-            if event.day == self._current_day:
-                self._day_passive += 1
-
-    def _step(self, cursor: int, event: StreamEvent) -> None:
-        if self._injector is not None:
-            self._injector.on_event(cursor)
-        if cursor < self._start_cursor:
-            # Replayed tail of an already-checkpointed prefix: the
-            # restored state covers it, so skipping is what makes the
-            # at-least-once replay exactly-once in effect.
+    def _admit_passive(self, event: PassiveEvent) -> None:
+        admitted_count = self.gate.admit_count(
+            event.day, event.client_key, event.frontend_id, event.count
+        )
+        if admitted_count is None:
             return
-        self._process(event)
-        self._cursor = cursor + 1
-        self._since_checkpoint += 1
-        every = self.config.checkpoint_every_events
-        if every and self._since_checkpoint >= every:
-            self._write_checkpoint()
+        if admitted_count != event.count:
+            event = dataclasses.replace(event, count=admitted_count)
+        self.stream.update(event)
+        self._passive_admitted += 1
+        if event.day == self._current_day:
+            self._day_passive += 1
+
+    def _admit_beacons(self, block: BeaconBlock) -> None:
+        if not self.gate.admit_bulk_valid(block.rtts):
+            block = self._admit_one_by_one(block)
+        if self.window.observe_block(block):
+            self.stream.update_block(block)
+            self._beacons_admitted += len(block)
+            if block.day == self._current_day:
+                self._day_beacons += len(block)
+
+    def _admit_one_by_one(self, block: BeaconBlock) -> BeaconBlock:
+        """Gate a block holding an invalid value one record at a time.
+
+        Each value passes ``gate.admit`` in stream order with record
+        index ``-1``, so quarantine coordinates and a strict raise are
+        those of a per-event gate.  Returns the admitted beacons, with
+        repaired values clamped: the window and the digest see those.
+        """
+        keys, columns = [], []
+        values = block.rtts.tolist()
+        for client_key, ldns_id, target_id, start, stop in block.runs():
+            admitted = (
+                self.gate.admit(block.day, client_key, -1, value)
+                for value in values[start:stop]
+            )
+            keys.append((client_key, ldns_id, target_id))
+            columns.append(
+                np.array([v for v in admitted if v is not None], np.float64)
+            )
+        return BeaconBlock.from_columns(block.day, keys, columns)
+
+    def _consume(self, start: int, stop: int, item: StreamItem) -> None:
+        """Process the events ``[start, stop)`` of one stream item.
+
+        The item is cut only at event ordinals the service keeps: the
+        attempt's kill point, the resume cursor (events before it are
+        skipped, the restored state covers them) and the mid-day spill
+        cadence.  Pacing sleeps before the item's first processed event
+        when its day lies past the last paced day.
+        """
+        cfg = self.config
+        # Without a checkpoint directory no spill happens (nor resets
+        # the count), so there is no cadence to cut at.
+        every = cfg.checkpoint_every_events if cfg.checkpoint_dir else 0
+        kill_at = None if self._injector is None else self._injector.fire_at
+        position = start
+        while position < stop:
+            if position >= self._start_cursor:
+                self._pace(item.day)
+            if kill_at is not None and position >= kill_at:
+                self._injector.on_event(position)  # raises
+            end = stop if kill_at is None else min(stop, kill_at)
+            if position < self._start_cursor:
+                # Replayed tail of an already-checkpointed prefix: the
+                # restored state covers it, so skipping is what makes the
+                # at-least-once replay exactly-once in effect.
+                position = min(end, self._start_cursor)
+                continue
+            self._advance_day_to(item.day)
+            if every:
+                end = min(end, position + every - self._since_checkpoint)
+            if isinstance(item, BeaconBlock):
+                self._admit_beacons(item.slice(position - start, end - start))
+            else:
+                self._admit_passive(item)
+            self._cursor = end
+            self._since_checkpoint += end - position
+            if every and self._since_checkpoint >= every:
+                self._write_checkpoint()
+            position = end
+
+    def _pace(self, day: int) -> None:
+        speed = self.config.speed
+        if speed <= 0:
+            return
+        if self._paced_day is not None and day > self._paced_day:
+            time.sleep(SECONDS_PER_DAY * (day - self._paced_day) / speed)
+        self._paced_day = day
 
     def _finish(self) -> None:
         first = 0 if self._current_day is None else self._current_day
@@ -438,28 +499,17 @@ class LiveService:
     # The loop
     # ------------------------------------------------------------------
 
-    def _run_attempt(self, events: Sequence[StreamEvent]) -> None:
+    def _run_attempt(self, stream: EventStream) -> None:
         self._attempt_setup()
-        speed = self.config.speed
         span = (
             self.telemetry.span("service.consume")
             if self.telemetry is not None
             else nullcontext()
         )
         with span:
-            # Pacing starts at the first event this attempt processes: a
-            # resume does not wait through the prefix it skips.
-            start = self._start_cursor
-            last_day: Optional[int] = None
-            for cursor, event in enumerate(events):
-                if speed > 0 and cursor >= start:
-                    if last_day is not None and event.day > last_day:
-                        time.sleep(
-                            SECONDS_PER_DAY * (event.day - last_day) / speed
-                        )
-                    last_day = event.day
-                self._step(cursor, event)
-        self._finish()
+            for start, stop, item in stream.items():
+                self._consume(start, stop, item)
+            self._finish()
 
     def _attempt_setup(self) -> None:
         cfg = self.config
@@ -510,7 +560,8 @@ class LiveService:
         next ``--resume-from`` invocation) owns the restart.
         """
         self._started = time.monotonic()
-        self._horizon = max(1, len(events))
+        stream = EventStream.of(events)
+        self._horizon = max(1, len(stream))
         telemetry = self.telemetry
         old_lane = None
         if telemetry is not None:
@@ -519,7 +570,7 @@ class LiveService:
         try:
             while True:
                 try:
-                    self._run_attempt(events)
+                    self._run_attempt(stream)
                     break
                 except InjectedTransientError:
                     self._retries += 1

@@ -3,17 +3,20 @@
 ``repro replay`` feeds the live service from a *recorded* campaign: a
 framed export (or an in-memory :class:`~repro.simulation.dataset
 .StudyDataset`) is unrolled back into the beacon and passive events
-that produced it, in a canonical day-ascending order.  The dataset
-stores each measurement once, in its /24's exact-mode ECS digest, and
-derives its LDNS plane from each client record's (static) LDNS id.
-Each event carries both, so the window rebuilds the ECS multiset and
-derives the same LDNS plane — which is what lets
-``tests/test_service_replay.py`` use the batch predictor as a
+that produced it, in a canonical day-ascending order, as an
+:class:`~repro.service.events.EventStream`: one beacon block per day,
+whose RTT column joins the day's ECS cells, then the day's passive
+events.  The dataset stores each measurement once, in its /24's
+exact-mode ECS digest, and derives its LDNS plane from each client
+record's (static) LDNS id.  Each block run carries both, so the window
+rebuilds the ECS multiset and derives the same LDNS plane — which is
+what lets ``tests/test_service_replay.py`` use the batch predictor as a
 differential oracle for the online one.
 
 :func:`dirty_events` rides the campaign's ``record-*`` fault vocabulary
 into replay: it damages the same seed-derived (day, client) cells the
-batch dirty-data chaos tests target, so a replay under a lenient gate
+batch dirty-data chaos tests target, writing into a copy of each
+damaged block's RTT column, so a replay under a lenient gate
 quarantines deterministic, non-empty record sets — the chaos-parity
 tests need a populated quarantine log to make its digest a meaningful
 part of the bit-identity assertion.
@@ -21,13 +24,21 @@ part of the bit-identity assertion.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.errors import MeasurementError
 from repro.faults.inject import RecordFaultInjector
 from repro.faults.plan import FaultPlan
-from repro.service.events import BeaconEvent, PassiveEvent, StreamEvent
+from repro.service.events import (
+    BeaconBlock,
+    EventStream,
+    PassiveEvent,
+    RunKey,
+    StreamEvent,
+    StreamItem,
+)
 from repro.simulation.dataset import StudyDataset
 
 #: Client label replayed passive events carry when the recorded passive
@@ -35,13 +46,13 @@ from repro.simulation.dataset import StudyDataset
 PASSIVE_TOTAL_KEY = "all"
 
 
-def events_from_dataset(dataset: StudyDataset) -> List[StreamEvent]:
+def events_from_dataset(dataset: StudyDataset) -> EventStream:
     """Unroll a recorded dataset into its canonical event stream.
 
-    Day-ascending; within a day, beacons first (sorted by client /24,
-    then target, samples in stored order), then passive counts.  The
-    ECS aggregates are the beacon source of truth — every joined
-    measurement is stored as exactly one ECS sample — and each event's
+    Day-ascending; within a day, one beacon block (sorted by client
+    /24, then target, samples in stored order), then passive counts.
+    The block's RTT column joins the day's ECS cells — every joined
+    measurement is stored as exactly one ECS sample — and each run's
     LDNS id comes from the client record
     (:meth:`~repro.simulation.dataset.StudyDataset.ldns_id_of`).
 
@@ -54,9 +65,11 @@ def events_from_dataset(dataset: StudyDataset) -> List[StreamEvent]:
     passive = dataset.passive
     ecs_days = set(ecs.days)
     passive_days = set(passive.days)
-    events: List[StreamEvent] = []
+    items: List[StreamItem] = []
     for day in sorted(ecs_days | passive_days):
         if day in ecs_days:
+            keys: List[RunKey] = []
+            columns: List[np.ndarray] = []
             for group in sorted(ecs.groups_on(day)):
                 ldns_id = dataset.ldns_id_of(group)
                 for target_id, digest in sorted(
@@ -69,22 +82,15 @@ def events_from_dataset(dataset: StudyDataset) -> List[StreamEvent]:
                             f"target {target_id!r}); replay needs an "
                             "exact-mode export"
                         )
-                    for value in digest.values_view().tolist():
-                        events.append(
-                            BeaconEvent(
-                                day=day,
-                                client_key=group,
-                                ldns_id=ldns_id,
-                                target_id=target_id,
-                                rtt_ms=value,
-                            )
-                        )
+                    keys.append((group, ldns_id, target_id))
+                    columns.append(digest.values_view())
+            items.append(BeaconBlock.from_columns(day, keys, columns))
         if day in passive_days:
             if passive.is_bounded:
                 for frontend_id, count in sorted(
                     passive.day_totals(day).items()
                 ):
-                    events.append(
+                    items.append(
                         PassiveEvent(
                             day=day,
                             client_key=PASSIVE_TOTAL_KEY,
@@ -97,7 +103,7 @@ def events_from_dataset(dataset: StudyDataset) -> List[StreamEvent]:
                     for frontend_id, count in sorted(
                         passive.frontends_for(day, client_key).items()
                     ):
-                        events.append(
+                        items.append(
                             PassiveEvent(
                                 day=day,
                                 client_key=client_key,
@@ -105,51 +111,67 @@ def events_from_dataset(dataset: StudyDataset) -> List[StreamEvent]:
                                 count=count,
                             )
                         )
-    return events
+    return EventStream(items)
 
 
 def dirty_events(
     dataset: StudyDataset,
-    events: List[StreamEvent],
+    events: Sequence[StreamEvent],
     plan: Optional[FaultPlan],
     seed: int,
-) -> List[StreamEvent]:
+) -> EventStream:
     """Damage a replay stream per a plan's ``record-*`` faults.
 
     Record-fault coordinates compile against the full population and
     calendar — exactly like the campaign's dirty-data injection — and
-    land on slots within each (day, client) beacon block, so the same
-    plan and seed dirty the same stream positions on every run.
-    Returns a new list; the input is never mutated.
+    land on slots within each (day, client) beacon sequence, counted in
+    stream order, so the same plan and seed dirty the same stream
+    positions on every run.  A damaged block gets a copy of its RTT
+    column; the input is never mutated.
     """
-    result = list(events)
+    stream = EventStream.of(events)
     if plan is None or not plan.record_specs:
-        return result
+        return stream
     compiled = plan.compile_records(
         seed, dataset.calendar.num_days, len(dataset.clients)
     )
     injector = RecordFaultInjector(compiled)
     if injector.empty:
-        return result
+        return stream
     index_by_key = {
         client.key: i for i, client in enumerate(dataset.clients)
     }
-    blocks: Dict[Tuple[int, int], List[int]] = {}
-    for position, event in enumerate(result):
-        if not isinstance(event, BeaconEvent):
+    items = [item for _, _, item in stream.items()]
+    # (day, client index) -> its beacons' (item, start, stop) runs.
+    cells: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
+    for index, item in enumerate(items):
+        if not isinstance(item, BeaconBlock):
             continue
-        client_index = index_by_key.get(event.client_key)
-        if client_index is None:
-            continue
-        blocks.setdefault((event.day, client_index), []).append(position)
-    for (day, client_index), positions in sorted(blocks.items()):
-        slots = injector.slots_for(day, client_index, len(positions))
-        for slot, kind in sorted(slots.items()):
-            position = positions[slot]
-            event = result[position]
-            assert isinstance(event, BeaconEvent)
-            result[position] = dataclasses.replace(
-                event,
-                rtt_ms=RecordFaultInjector.dirty_value(kind, event.rtt_ms),
+        for client_key, _, _, start, stop in item.runs():
+            client_index = index_by_key.get(client_key)
+            if client_index is not None:
+                cells.setdefault((item.day, client_index), []).append(
+                    (index, start, stop)
+                )
+    columns: Dict[int, np.ndarray] = {}
+    for (day, client_index), runs in sorted(cells.items()):
+        total = sum(stop - start for _, start, stop in runs)
+        for slot, kind in sorted(
+            injector.slots_for(day, client_index, total).items()
+        ):
+            for index, start, stop in runs:
+                if slot < stop - start:
+                    break
+                slot -= stop - start
+            column = columns.get(index)
+            if column is None:
+                column = columns[index] = items[index].rtts.copy()
+            column[start + slot] = RecordFaultInjector.dirty_value(
+                kind, float(column[start + slot])
             )
-    return result
+    return EventStream(
+        BeaconBlock(item.day, item.keys, item.bounds, columns[index])
+        if index in columns
+        else item
+        for index, item in enumerate(items)
+    )

@@ -19,6 +19,12 @@ function of the sample multiset (sorting internally; canonical sketch
 promotion), online and batch scores agree *bit for bit* — the
 differential-oracle property ``tests/test_service_replay.py`` asserts.
 
+The service feeds the window one beacon block at a time
+(:meth:`observe_block`): one resolver check per run, then every run
+appended through :meth:`~repro.measurement.aggregate
+.GroupedDailyAggregates.observe_runs`, the matrix engine's sink.
+:meth:`observe` is a one-event block through the same path.
+
 The window itself is order-free: :meth:`observe` commutes across
 events, eviction drops whole days without touching retained ones, and
 :meth:`state_digest` hashes a fully-sorted traversal — so window state
@@ -36,6 +42,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError, MeasurementError
 from repro.measurement.aggregate import GroupedDailyAggregates
 from repro.measurement.canonical import CanonicalHash, aggregate_day_parts
@@ -43,7 +51,7 @@ from repro.measurement.sketch import (
     DEFAULT_MAX_BUCKETS,
     DEFAULT_RELATIVE_ACCURACY,
 )
-from repro.service.events import BeaconEvent
+from repro.service.events import BeaconBlock, BeaconEvent
 from repro.simulation.transport import apply_day_block, encode_day_block
 
 #: Grouping labels of the two aggregate planes each day exposes: the
@@ -105,38 +113,57 @@ class PredictionWindow:
     # Ingest and eviction
     # ------------------------------------------------------------------
 
-    def observe(self, event: BeaconEvent, rtt_ms: Optional[float] = None) -> bool:
-        """Fold one admitted beacon into its day bucket.
+    def observe(self, event: BeaconEvent) -> bool:
+        """Fold one admitted beacon in: a one-event :meth:`observe_block`."""
+        return self.observe_block(BeaconBlock.from_events((event,)))
 
-        ``rtt_ms`` overrides the event's value (the repair policy admits
-        a clamped value).  Returns ``False`` — and counts a late drop —
-        when the event's day was already evicted; retained state is
-        never touched by such stragglers, which is what "evicted events
-        never influence predictions" means operationally.
+    def observe_block(self, block: BeaconBlock) -> bool:
+        """Fold an admitted beacon block into its day bucket.
+
+        Returns ``False`` — and counts ``len(block)`` late drops — when
+        the block's day was already evicted; retained state is never
+        touched by such stragglers, which is what "evicted events never
+        influence predictions" means operationally.  Each run appends
+        to its (/24, target) cell through
+        :meth:`~repro.measurement.aggregate.GroupedDailyAggregates
+        .observe_runs`, the matrix engine's sink.
 
         Raises:
-            MeasurementError: when the event puts its /24 behind another
-                resolver than an earlier event of the same day did.
+            MeasurementError: when a run puts its /24 behind another
+                resolver than an earlier run of the same day did; the
+                window is left unchanged.
         """
-        if (
-            self._evicted_through is not None
-            and event.day <= self._evicted_through
-        ):
-            self.late_drops += 1
+        day = block.day
+        if self._evicted_through is not None and day <= self._evicted_through:
+            self.late_drops += len(block)
             return False
-        bucket = self._days.get(event.day)
+        if not len(block):
+            return True
+        bucket = self._days.get(day)
+        resolvers = {} if bucket is None else bucket[1]
+        learned: Dict[str, str] = {}
+        entries = []
+        starts = block.bounds[:-1]
+        for (client_key, ldns_id, target_id, start, stop), low, high in zip(
+            block.runs(),
+            np.minimum.reduceat(block.rtts, starts).tolist(),
+            np.maximum.reduceat(block.rtts, starts).tolist(),
+        ):
+            known = resolvers.get(client_key)
+            if known is None:
+                known = learned.setdefault(client_key, ldns_id)
+            if known != ldns_id:
+                raise MeasurementError(
+                    f"day {day}: /24 {client_key!r} arrived via "
+                    f"resolver {ldns_id!r} after {known!r}"
+                )
+            entries.append((client_key, target_id, start, stop, low, high))
         if bucket is None:
             bucket = self._new_bucket()
-            self._days[event.day] = bucket
+            self._days[day] = bucket
         ecs, resolvers = bucket
-        known = resolvers.setdefault(event.client_key, event.ldns_id)
-        if known != event.ldns_id:
-            raise MeasurementError(
-                f"day {event.day}: /24 {event.client_key!r} arrived via "
-                f"resolver {event.ldns_id!r} after {known!r}"
-            )
-        value = event.rtt_ms if rtt_ms is None else rtt_ms
-        ecs.observe(event.day, event.client_key, event.target_id, value)
+        resolvers.update(learned)
+        ecs.observe_runs(day, entries, block.rtts)
         return True
 
     def advance_to(self, day: int) -> Tuple[int, ...]:

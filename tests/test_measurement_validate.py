@@ -318,3 +318,63 @@ class TestValidateDataset:
         digest.add(float("inf"))
         with pytest.raises(ValidationError):
             validate_dataset(dataset, "strict")
+
+
+class TestPerDayScan:
+    """Each day is checked in one comparison; a day holding a bad sample
+    falls back to the per-cell scan, so the outcome equals a scan that
+    gates every sample on its own."""
+
+    CLIENTS = (make_client(1), make_client(2), make_client(3))
+    POISON = {1: (float("nan"), -5.0, 70_000.0, float("-inf"))}
+
+    def dataset(self):
+        rows = []
+        for day in range(3):
+            for index, client in enumerate(self.CLIENTS):
+                for target in ("anycast", "fe-a"):
+                    values = [10.0 + day + index + 0.5 * k for k in range(6)]
+                    if index == 1 and target == "fe-a":
+                        values[2:2] = self.POISON.get(day, ())
+                    rows.append((day, client.key, target, values))
+        return make_dataset(self.CLIENTS, num_days=3, ecs_samples=rows)
+
+    @staticmethod
+    def per_sample(dataset, policy):
+        gate = ValidationGate(policy)
+        aggregates = dataset.ecs_aggregates
+        cells = {}
+        for day in aggregates.days:
+            for group, target_id, digest in aggregates.iter_day(day):
+                cells[day, group, target_id] = [
+                    admitted
+                    for admitted in (
+                        gate.admit(day, group, -1, value)
+                        for value in digest.values()
+                    )
+                    if admitted is not None
+                ]
+        return gate, cells
+
+    @pytest.mark.parametrize("policy", ["lenient", "repair"])
+    def test_equals_a_per_sample_scan(self, policy):
+        expected_gate, expected_cells = self.per_sample(self.dataset(), policy)
+        dataset = self.dataset()
+        gate, removed = validate_dataset(dataset, policy)
+        aggregates = dataset.ecs_aggregates
+        cells = {
+            (day, group, target_id): list(digest.values())
+            for day in aggregates.days
+            for group, target_id, digest in aggregates.iter_day(day)
+        }
+        assert cells == expected_cells
+        assert gate.records_total == expected_gate.records_total == 112
+        assert gate.dropped_total == expected_gate.dropped_total
+        assert gate.repaired_total == expected_gate.repaired_total
+        assert gate.quarantine.digest() == expected_gate.quarantine.digest()
+        assert removed == expected_gate.dropped_total
+        assert {s.day for s in gate.quarantine.samples} == {1}
+
+    def test_strict_names_the_first_bad_sample_of_the_day(self):
+        with pytest.raises(ValidationError, match=r"record -1\): non-finite"):
+            validate_dataset(self.dataset(), "strict")
