@@ -47,11 +47,11 @@ def _daily_anycast_percentiles(
     result: Dict[int, Tuple[float, float, int]] = {}
     aggregates = dataset.ecs_aggregates
     for day in aggregates.days:
-        medians: List[float] = []
-        for _group, target_id, digest in aggregates.iter_day(day):
-            if target_id != ANYCAST_TARGET or digest.count < min_samples:
-                continue
-            medians.append(digest.median())
+        block = aggregates.block(day)
+        chosen = (block.target_codes == block.target_code(ANYCAST_TARGET)) & (
+            block.counts() >= min_samples
+        )
+        medians: List[float] = block.percentiles(50.0)[chosen].tolist()
         if not medians:
             continue
         medians.sort()

@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import AnalysisError
 from repro.analysis.stats import CdfSeries, WeightedDistribution, linear_grid
 from repro.dns.authoritative import ANYCAST_TARGET
@@ -48,28 +50,31 @@ def daily_improvements(
     result: Dict[int, Dict[str, DailyImprovement]] = {}
     aggregates = dataset.ecs_aggregates
     for day in aggregates.days:
-        anycast_median: Dict[str, float] = {}
-        best_unicast: Dict[str, float] = {}
-        for group, target_id, digest in aggregates.iter_day(day):
-            if digest.count < min_samples:
-                continue
-            median = digest.median()
-            if target_id == ANYCAST_TARGET:
-                anycast_median[group] = median
-            else:
-                current = best_unicast.get(group)
-                if current is None or median < current:
-                    best_unicast[group] = median
+        # One pass over the day's block: its median table, each group's
+        # anycast median and its best unicast median, groups in block
+        # order.
+        block = aggregates.block(day)
+        kept = block.counts() >= min_samples
+        medians = block.percentiles(50.0)
+        cell_groups = block.cell_groups()
+        anycast = block.target_codes == block.target_code(ANYCAST_TARGET)
+        anycast_median = np.full(len(block.groups), np.nan)
+        chosen = kept & anycast
+        anycast_median[cell_groups[chosen]] = medians[chosen]
+        best_unicast = np.full(len(block.groups), np.inf)
+        chosen = kept & ~anycast
+        np.minimum.at(best_unicast, cell_groups[chosen], medians[chosen])
+        measured = np.zeros(len(block.groups), dtype=bool)
+        measured[cell_groups[chosen]] = True
+        measured &= ~np.isnan(anycast_median)
         per_day: Dict[str, DailyImprovement] = {}
-        for group, anycast in anycast_median.items():
-            unicast = best_unicast.get(group)
-            if unicast is None:
-                continue
+        for index in np.flatnonzero(measured).tolist():
+            group = block.groups[index]
             per_day[group] = DailyImprovement(
                 day=day,
                 client_key=group,
-                anycast_median_ms=anycast,
-                best_unicast_median_ms=unicast,
+                anycast_median_ms=float(anycast_median[index]),
+                best_unicast_median_ms=float(best_unicast[index]),
             )
         result[day] = per_day
     return result

@@ -125,12 +125,18 @@ def evaluate_prediction(
                 ldns_aggregates, prediction_day
             )
 
+        # The evaluation day's block answers every lookup: its counts
+        # and one percentile table per evaluation percentile.
+        block = dataset.ecs_aggregates.block(evaluation_day)
+        counts = block.counts().tolist()
+        tables = {
+            percentile: block.percentiles(percentile).tolist()
+            for percentile in eval_percentiles
+        }
         for client in dataset.clients:
             weight = client.daily_queries
-            anycast_digest = dataset.ecs_aggregates.digest(
-                evaluation_day, client.key, ANYCAST_TARGET
-            )
-            if anycast_digest is None or anycast_digest.count < min_eval_samples:
+            anycast_cell = block.find(client.key, ANYCAST_TARGET)
+            if anycast_cell is None or counts[anycast_cell] < min_eval_samples:
                 continue
             for grouping in groupings:
                 group = client.key if grouping == ECS else ldns_of[client.key]
@@ -138,21 +144,22 @@ def evaluate_prediction(
                 target = (
                     prediction.target_id if prediction else ANYCAST_TARGET
                 )
+                target_cell = (
+                    None
+                    if target == ANYCAST_TARGET
+                    else block.find(client.key, target)
+                )
                 for percentile in eval_percentiles:
                     if target == ANYCAST_TARGET:
                         improvement = 0.0
                     else:
-                        target_digest = dataset.ecs_aggregates.digest(
-                            evaluation_day, client.key, target
-                        )
                         if (
-                            target_digest is None
-                            or target_digest.count < min_eval_samples
+                            target_cell is None
+                            or counts[target_cell] < min_eval_samples
                         ):
                             continue
-                        improvement = anycast_digest.percentile(
-                            percentile
-                        ) - target_digest.percentile(percentile)
+                        table = tables[percentile]
+                        improvement = table[anycast_cell] - table[target_cell]
                     per_percentile[(grouping, percentile)].append(
                         (improvement, weight)
                     )

@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import AnalysisError
 from repro.analysis.stats import CdfSeries, WeightedDistribution, linear_grid, log2_grid
 from repro.cdn.frontend import FrontEnd, nearest_frontends
@@ -127,11 +129,16 @@ def diminishing_returns(
     min_latency: Dict[str, Dict[str, float]] = {}
     aggregates = dataset.ecs_aggregates
     for day in aggregates.days:
-        for group, target_id, digest in aggregates.iter_day(day):
-            if target_id == ANYCAST_TARGET:
-                continue
-            per_fe = min_latency.setdefault(group, {})
-            value = digest.minimum()
+        block = aggregates.block(day)
+        groups, targets = block.names()
+        lows = block.extrema()[0].tolist()
+        unicast = (block.target_codes != block.target_code(ANYCAST_TARGET)) & (
+            block.counts() > 0
+        )
+        for cell in np.flatnonzero(unicast).tolist():
+            per_fe = min_latency.setdefault(groups[cell], {})
+            target_id = targets[cell]
+            value = lows[cell]
             if target_id not in per_fe or value < per_fe[target_id]:
                 per_fe[target_id] = value
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import PredictionError
 from repro.dns.authoritative import ANYCAST_TARGET, StaticMappingPolicy
 from repro.measurement.aggregate import GroupedDailyAggregates, LatencyDigest
@@ -141,12 +143,42 @@ class HistoryBasedPredictor:
     def predict_day(
         self, aggregates: GroupedDailyAggregates, day: int
     ) -> Dict[str, Prediction]:
-        """Predictions for every group measurable on ``day``."""
+        """Predictions for every group measurable on ``day``.
+
+        :meth:`choose_target`'s rule over the day's block in one pass:
+        the block's percentile table scores every cell that reaches the
+        sample cut, and one sort by (group, score, anycast first,
+        target) puts each group's choice first.  Groups come in
+        ascending order.
+        """
+        cfg = self._config
+        block = aggregates.block(day)
+        cells = np.flatnonzero(block.counts() >= cfg.min_samples)
+        if not cells.size:
+            return {}
+        scores = block.percentiles(cfg.metric_percentile)[cells]
+        codes = block.target_codes[cells]
+        cell_groups = block.cell_groups()[cells]
+        anycast = codes == block.target_code(ANYCAST_TARGET)
+        group_ranks, target_ranks = block.name_ranks()
+        order = np.lexsort(
+            (target_ranks[codes], ~anycast, scores, group_ranks[cell_groups])
+        )
+        best = order[np.diff(group_ranks[cell_groups[order]], prepend=-1) != 0]
+        anycast_scores = dict(
+            zip(cell_groups[anycast].tolist(), scores[anycast].tolist())
+        )
         predictions: Dict[str, Prediction] = {}
-        for group in aggregates.groups_on(day):
-            prediction = self.predict_group(aggregates, day, group)
-            if prediction is not None:
-                predictions[group] = prediction
+        for group_index, code, score in zip(
+            cell_groups[best].tolist(), codes[best].tolist(), scores[best].tolist()
+        ):
+            group = block.groups[group_index]
+            predictions[group] = Prediction(
+                group=group,
+                target_id=block.targets[code],
+                metric_ms=score,
+                anycast_metric_ms=anycast_scores.get(group_index),
+            )
         return predictions
 
     def mapping_for_day(
@@ -190,3 +222,4 @@ class HistoryBasedPredictor:
         return StaticMappingPolicy(
             ecs_mapping=ecs_mapping, ldns_mapping=ldns_mapping
         )
+

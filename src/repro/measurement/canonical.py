@@ -21,11 +21,15 @@ input order and the hash would depend on arrival order) and NaN last.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, List, Sequence, Union
+from typing import TYPE_CHECKING, Callable, List, Sequence, Union
 
 import numpy as np
 
-from repro.measurement.aggregate import GroupedDailyAggregates, RequestDiffLog
+if TYPE_CHECKING:  # the aggregates import this module's sort keys
+    from repro.measurement.aggregate import (
+        GroupedDailyAggregates,
+        RequestDiffLog,
+    )
 
 #: The separator that follows every part of the stream.
 SEP = "\x1f"
@@ -37,11 +41,11 @@ _SIGN = np.uint64(1 << 63)
 _NAN_KEY = np.uint64(np.iinfo(np.uint64).max)
 
 
-def _order_keys(values: np.ndarray) -> np.ndarray:
+def order_keys(values: np.ndarray) -> np.ndarray:
     """uint64 keys whose unsigned order is the canonical sample order.
 
     Every NaN maps to one key; otherwise distinct bit patterns get
-    distinct keys, which :func:`_key_texts` turns back into ``repr``s.
+    distinct keys, which :func:`key_values` turns back into floats.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     bits = values.view(np.uint64)
@@ -50,10 +54,24 @@ def _order_keys(values: np.ndarray) -> np.ndarray:
     return keys
 
 
+def key_values(keys: np.ndarray) -> np.ndarray:
+    """The float64 behind each :func:`order_keys` key."""
+    return np.where(keys & _SIGN, keys ^ _SIGN, ~keys).view(np.float64)
+
+
+def segment_indices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices that read the segments ``[start, start + length)`` back
+    to back: one vectorized gather instead of a loop over segments."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    shift = np.asarray(starts, dtype=np.int64) - (np.cumsum(lengths) - lengths)
+    return np.repeat(shift, lengths) + np.arange(
+        int(lengths.sum()), dtype=np.int64
+    )
+
+
 def _key_texts(keys: np.ndarray) -> List[str]:
-    """``repr`` of the float behind each :func:`_order_keys` key."""
-    bits = np.where(keys & _SIGN, keys ^ _SIGN, ~keys)
-    return [repr(value) for value in bits.view(np.float64).tolist()]
+    """``repr`` of the float behind each :func:`order_keys` key."""
+    return [repr(value) for value in key_values(keys).tolist()]
 
 
 def _int_texts(values: np.ndarray) -> List[str]:
@@ -68,55 +86,41 @@ def _rendered(
     return np.array(render(distinct), dtype=object)[inverse]
 
 
-def _sorted_sample_texts(samples: Sequence[np.ndarray]) -> np.ndarray:
-    """``repr`` of every sample, each array in canonical order, the
-    arrays back to back in the given order."""
-    if not samples:
-        return np.empty(0, dtype=object)
-    keys = _order_keys(np.concatenate(samples))
-    distinct, ranks = np.unique(keys, return_inverse=True)
-    # Sort (array, rank) pairs as one integer: the arrays keep their
-    # place and each one sorts within itself.
-    offsets = np.repeat(
-        np.arange(len(samples), dtype=np.int64) * len(distinct),
-        [len(values) for values in samples],
-    )
-    ranks = ranks.astype(np.int64) + offsets
-    ranks.sort()
-    ranks -= offsets
-    return np.array(_key_texts(distinct), dtype=object)[ranks]
-
-
 def aggregate_day_parts(
-    aggregates: GroupedDailyAggregates, day: int
+    aggregates: "GroupedDailyAggregates", day: int
 ) -> np.ndarray:
-    """The stream parts of one day of per-(group, target) digests.
+    """The stream parts of one day of per-(group, target) cells.
 
-    Groups ascending, then targets ascending; each digest contributes
+    Groups ascending, then targets ascending; each cell contributes
     ``day, group, target`` and then its samples in canonical order
     (exact mode) or ``"sketch"`` and the sketch's digest (sketch mode).
+    The day's block (:meth:`GroupedDailyAggregates.block`) supplies the
+    cells and its cached canonical sort, so the parts come from one
+    gather over the block's ranks.
     """
-    heads: List[str] = []
-    samples: List[np.ndarray] = []
-    for group in aggregates.groups_on(day):
-        for target_id, digest in sorted(
-            aggregates.targets_for(day, group).items()
-        ):
-            head = f"{day}{SEP}{group}{SEP}{target_id}"
-            if digest.is_exact:
-                samples.append(digest.values_view())
-            else:
-                assert digest.sketch is not None
-                head += f"{SEP}sketch{SEP}{digest.sketch.digest()}"
-                samples.append(np.empty(0))
-            heads.append(head)
-    lengths = np.array([len(values) for values in samples], dtype=np.int64)
-    return np.insert(
-        _sorted_sample_texts(samples), np.cumsum(lengths) - lengths, heads
-    )
+    block = aggregates.block(day)
+    if not len(block):
+        return np.empty(0, dtype=object)
+    group_rank, target_rank = block.name_ranks()
+    order = np.argsort(
+        group_rank[block.cell_groups()] * len(block.targets)
+        + target_rank[block.target_codes]
+    ).tolist()
+    groups, targets = block.names()
+    heads = [f"{day}{SEP}{groups[cell]}{SEP}{targets[cell]}" for cell in order]
+    for position, cell in enumerate(order):
+        sketch = block.sketches.get(cell)
+        if sketch is not None:
+            heads[position] += f"{SEP}sketch{SEP}{sketch.digest()}"
+    distinct, ranks = block.canonical_ranks()
+    sizes = np.diff(block.bounds)[order]
+    texts = np.array(_key_texts(distinct), dtype=object)[
+        ranks[segment_indices(block.bounds[:-1][order], sizes)]
+    ]
+    return np.insert(texts, np.cumsum(sizes) - sizes, heads)
 
 
-def diff_row_parts(diffs: RequestDiffLog) -> np.ndarray:
+def diff_row_parts(diffs: "RequestDiffLog") -> np.ndarray:
     """The stream parts of an exact request-diff log.
 
     Rows sort by (day, client index, anycast RTT, best-unicast RTT),
@@ -127,8 +131,8 @@ def diff_row_parts(diffs: RequestDiffLog) -> np.ndarray:
     day = np.frombuffer(diffs._day, dtype=np.int32)
     client = np.frombuffer(diffs._client_index, dtype=np.int32)
     region = np.frombuffer(diffs._region_code, dtype=np.int8)
-    anycast = _order_keys(np.frombuffer(diffs._anycast, dtype=np.float32))
-    best = _order_keys(np.frombuffer(diffs._best_unicast, dtype=np.float32))
+    anycast = order_keys(np.frombuffer(diffs._anycast, dtype=np.float32))
+    best = order_keys(np.frombuffer(diffs._best_unicast, dtype=np.float32))
     order = np.lexsort((best, anycast, client, day))
     parts = np.empty((len(order), 5), dtype=object)
     parts[:, 0] = _rendered(day[order], _int_texts)

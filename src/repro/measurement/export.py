@@ -335,9 +335,7 @@ def _dataset_from_frames(
                 break
             apply_diff_rows(diffs, block)
         recovered_measurements = sum(
-            digest.count
-            for day in ecs.days
-            for _, _, digest in ecs.iter_day(day)
+            int(ecs.block(day).counts().sum()) for day in ecs.days
         )
         recovery = DatasetRecovery(
             report=report,

@@ -499,20 +499,20 @@ class ValidationGate:
         return None if admitted is None else int(admitted)
 
 
-def _valid_day_records(aggregates, day: int) -> Optional[int]:
+def _valid_day_records(block) -> Optional[int]:
     """One day's record count when all its samples are valid, else None.
 
-    The day's exact samples are checked in one comparison over their
-    joined column; sketch-mode digests are checked on their extrema.
+    The day's exact samples are checked in one comparison over its
+    block's column; promoted cells are checked on their extrema.
     """
     records = 0
-    for _, _, digest in aggregates.iter_day(day):
-        if digest.is_exact or not digest.count:
+    for sketch in block.sketches.values():
+        if not sketch.count:
             continue
-        if digest.minimum() < 0.0 or digest.maximum() > MAX_PLAUSIBLE_RTT_MS:
+        if sketch.minimum() < 0.0 or sketch.maximum() > MAX_PLAUSIBLE_RTT_MS:
             return None
-        records += digest.count
-    values = aggregates.exact_samples(day)
+        records += sketch.count
+    values = block.values
     with np.errstate(invalid="ignore"):
         if not ((values >= 0.0) & (values <= MAX_PLAUSIBLE_RTT_MS)).all():
             return None
@@ -544,23 +544,28 @@ def validate_dataset(
     removed = 0
     aggregates = dataset.ecs_aggregates
     for day in aggregates.days:
-        records = _valid_day_records(aggregates, day)
+        block = aggregates.block(day)
+        records = _valid_day_records(block)
         if records is not None:
             gate.records_total += records
             continue
         # A day holding a bad sample goes cell by cell, which locates
         # each bad record and applies the policy to it.
-        for group, target_id, digest in aggregates.iter_day(day):
-            if not digest.is_exact:
-                # Sketch-mode digests retain no samples to rescan; the
+        groups, targets = block.names()
+        bounds = block.bounds.tolist()
+        replacements: Dict[int, List[float]] = {}
+        for cell, (group, target_id) in enumerate(zip(groups, targets)):
+            sketch = block.sketches.get(cell)
+            if sketch is not None:
+                # Promoted cells retain no samples to rescan; the
                 # campaign gates already validated them at ingest.
                 # Bucket keys derive from admitted values, so a range
                 # check on the retained extrema is the strongest test
                 # still available.
-                gate.records_total += digest.count
-                if digest.count and (
-                    digest.minimum() < 0.0
-                    or digest.maximum() > MAX_PLAUSIBLE_RTT_MS
+                gate.records_total += sketch.count
+                if sketch.count and (
+                    sketch.minimum() < 0.0
+                    or sketch.maximum() > MAX_PLAUSIBLE_RTT_MS
                 ):
                     raise ValidationError(
                         "sketch-mode digest for "
@@ -570,7 +575,7 @@ def validate_dataset(
                         "campaign with validation enabled"
                     )
                 continue
-            values = digest.values_view()
+            values = block.values[bounds[cell] : bounds[cell + 1]]
             gate.records_total += int(values.size)
             with np.errstate(invalid="ignore"):
                 valid = (values >= 0.0) & (values <= MAX_PLAUSIBLE_RTT_MS)
@@ -578,17 +583,13 @@ def validate_dataset(
                 continue
             gate.records_total -= int(values.size)
             kept: List[float] = []
-            for value in digest.values():
+            for value in values.tolist():
                 admitted = gate.admit(day, group, -1, value)
                 if admitted is not None:
                     kept.append(admitted)
-            removed += digest.count - len(kept)
-            aggregates._days[day][group][target_id] = type(digest)(
-                kept,
-                exact_threshold=digest.exact_threshold,
-                relative_accuracy=digest.relative_accuracy,
-                max_buckets=digest.max_buckets,
-            )
+            removed += int(values.size) - len(kept)
+            replacements[cell] = kept
+        aggregates.replace_samples(day, replacements)
     diffs = dataset.request_diffs
     if diffs.is_bounded:
         # Bounded logs hold sketches of already-gated diffs, not rows.

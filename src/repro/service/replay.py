@@ -31,11 +31,11 @@ import numpy as np
 from repro.errors import MeasurementError
 from repro.faults.inject import RecordFaultInjector
 from repro.faults.plan import FaultPlan
+from repro.measurement.canonical import segment_indices
 from repro.service.events import (
     BeaconBlock,
     EventStream,
     PassiveEvent,
-    RunKey,
     StreamEvent,
     StreamItem,
 )
@@ -57,7 +57,7 @@ def events_from_dataset(dataset: StudyDataset) -> EventStream:
     (:meth:`~repro.simulation.dataset.StudyDataset.ldns_id_of`).
 
     Raises:
-        MeasurementError: when the dataset's digests are sketch-mode
+        MeasurementError: when the dataset's cells are sketch-mode
             (promoted sketches retain no samples to replay) or a group
             key has no client record to recover an LDNS id from.
     """
@@ -68,23 +68,7 @@ def events_from_dataset(dataset: StudyDataset) -> EventStream:
     items: List[StreamItem] = []
     for day in sorted(ecs_days | passive_days):
         if day in ecs_days:
-            keys: List[RunKey] = []
-            columns: List[np.ndarray] = []
-            for group in sorted(ecs.groups_on(day)):
-                ldns_id = dataset.ldns_id_of(group)
-                for target_id, digest in sorted(
-                    ecs.targets_for(day, group).items()
-                ):
-                    if not digest.is_exact:
-                        raise MeasurementError(
-                            "sketch-mode export retains no samples to "
-                            f"replay (day {day}, group {group!r}, "
-                            f"target {target_id!r}); replay needs an "
-                            "exact-mode export"
-                        )
-                    keys.append((group, ldns_id, target_id))
-                    columns.append(digest.values_view())
-            items.append(BeaconBlock.from_columns(day, keys, columns))
+            items.append(_beacon_block(dataset, day))
         if day in passive_days:
             if passive.is_bounded:
                 for frontend_id, count in sorted(
@@ -112,6 +96,36 @@ def events_from_dataset(dataset: StudyDataset) -> EventStream:
                             )
                         )
     return EventStream(items)
+
+
+def _beacon_block(dataset: StudyDataset, day: int) -> BeaconBlock:
+    """One day's ECS block as a beacon block: cells sorted by (/24,
+    target), each cell's samples in stored order, in one gather."""
+    block = dataset.ecs_aggregates.block(day)
+    groups, targets = block.names()
+    order = sorted(
+        range(len(block)), key=lambda cell: (groups[cell], targets[cell])
+    )
+    ldns_of: Dict[str, str] = {}
+    for cell in order:
+        if groups[cell] not in ldns_of:
+            ldns_of[groups[cell]] = dataset.ldns_id_of(groups[cell])
+        if cell in block.sketches:
+            raise MeasurementError(
+                "sketch-mode export retains no samples to "
+                f"replay (day {day}, group {groups[cell]!r}, "
+                f"target {targets[cell]!r}); replay needs an "
+                "exact-mode export"
+            )
+    sizes = np.diff(block.bounds)
+    order = [cell for cell in order if sizes[cell]]
+    lengths = sizes[order]
+    return BeaconBlock(
+        day,
+        [(groups[cell], ldns_of[groups[cell]], targets[cell]) for cell in order],
+        np.concatenate(([0], np.cumsum(lengths))),
+        block.values[segment_indices(block.bounds[order], lengths)],
+    )
 
 
 def dirty_events(

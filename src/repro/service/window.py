@@ -12,11 +12,11 @@ map learned from that day's events.  The LDNS plane is not stored: it
 is derived from the two on every read (:meth:`PredictionWindow
 .aggregates_for`), the way :attr:`~repro.simulation.dataset
 .StudyDataset.ldns_aggregates` derives the batch one, and the map is
-evicted with its bucket.  So the digests the online predictor reads
-for day *d* are built from exactly the samples the batch predictor
-sees for day *d*.  Because ``LatencyDigest`` percentiles are a pure
-function of the sample multiset (sorting internally; canonical sketch
-promotion), online and batch scores agree *bit for bit* — the
+evicted with its bucket.  So the cells the online predictor reads for
+day *d* hold exactly the samples the batch predictor sees for day *d*.
+Because a day block's percentile table is a pure function of each
+cell's sample multiset (a canonical sort; canonical sketch promotion),
+online and batch scores agree *bit for bit* — the
 differential-oracle property ``tests/test_service_replay.py`` asserts.
 
 The service feeds the window one beacon block at a time
@@ -208,9 +208,8 @@ class PredictionWindow:
     def sample_count(self) -> int:
         """Total retained samples (one per admitted beacon)."""
         return sum(
-            digest.count
+            int(ecs.block(day).counts().sum())
             for day, (ecs, _) in self._days.items()
-            for _, _, digest in ecs.iter_day(day)
         )
 
     def state_digest(self) -> str:

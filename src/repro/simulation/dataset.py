@@ -158,7 +158,7 @@ class StudyDataset:
 
         A /24's resolver never changes, so the LDNS grouping holds no
         measurement of its own: each read folds every (day, /24, target)
-        cell into its resolver's cell
+        cell into its resolver's cell, one gather per day block
         (:meth:`GroupedDailyAggregates.regrouped`).  Nothing is cached,
         so the view cannot go stale after :meth:`merge` or validation
         rewrites ECS cells; callers that read it repeatedly hold on to

@@ -10,17 +10,19 @@ framed export and the service window checkpoint hold JSON blocks: one
 per day of aggregates or of diff sketches, one per slice of diff rows.
 
 Specs are JSON-safe and point into a column table.  A day of aggregates
-coalesces its exact cells' samples into one float64 column; each row is
+is its :class:`~repro.measurement.aggregate.DayBlock`: the block's one
+float64 sample column, and per cell in block order a row
 ``[group, target, start, stop]``, a slice of it, or ``[group, target,
-sketch spec]`` with four int64 key and count columns.  Diff rows keep
-the log's dtypes (i4 day, i4 client, i1 region, f4 and f4 RTTs).  A
-JSON block adds ``"columns": [[dtype, count], ...]`` and ``"data"``,
-the base64 of its columns back to back.  Frames and payloads pass their
-CRC or SHA-256 checks whatever they carry, so every reader raises
-:class:`~repro.errors.MeasurementError` on a column dtype the writer
-never emits, a column table whose byte total differs from the data,
-exact rows that do not tile their day's sample column in order, or
-sketch key and count columns of unequal length.
+sketch spec]`` with four int64 key and count columns; decoding builds
+the block over a view of the column, without per-cell copies.  Diff
+rows keep the log's dtypes (i4 day, i4 client, i1 region, f4 and f4
+RTTs).  A JSON block adds ``"columns": [[dtype, count], ...]`` and
+``"data"``, the base64 of its columns back to back.  Frames and
+payloads pass their CRC or SHA-256 checks whatever they carry, so every
+reader raises :class:`~repro.errors.MeasurementError` on a column dtype
+the writer never emits, a column table whose byte total differs from
+the data, exact rows that do not tile their day's sample column in
+order, or sketch key and count columns of unequal length.
 
 Large payloads ship through a ``multiprocessing.shared_memory`` block
 where one is available, and inline through the pool pipe otherwise.
@@ -32,17 +34,12 @@ import base64
 import pickle
 import struct
 from contextlib import contextmanager
-from itertools import compress
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import MeasurementError
-from repro.measurement.aggregate import (
-    GroupedDailyAggregates,
-    LatencyDigest,
-    RequestDiffLog,
-)
+from repro.measurement.aggregate import GroupedDailyAggregates, RequestDiffLog
 from repro.measurement.logs import PassiveLog
 from repro.measurement.sketch import LatencySketch
 from repro.simulation.dataset import StudyDataset
@@ -195,29 +192,23 @@ def _sketch_from_spec(
 def _day_spec(
     aggregates: GroupedDailyAggregates, day: int, columns: _ColumnWriter
 ) -> Dict[str, Any]:
-    # A day's exact digests coalesce into a single float64 column; each
-    # row records its [start, stop) slice instead of a column index.
-    # One tobytes per day instead of one per digest is what keeps
-    # encode (and the mirrored decode) at memcpy speed — a paper-scale
-    # day holds tens of thousands of digests.
-    rows: List[Any] = []
-    chunks: List[np.ndarray] = []
-    offset = 0
-    for group, target_id, digest in aggregates.iter_day(day):
-        if digest.is_exact:
-            view = digest.values_view()
-            rows.append([group, target_id, offset, offset + view.size])
-            if view.size:
-                chunks.append(view)
-                offset += view.size
-        else:
-            assert digest.sketch is not None
-            rows.append(
-                [group, target_id, _sketch_spec(digest.sketch, columns)]
-            )
+    # The day's block already is the wire layout: exact rows are its
+    # [start, stop) slices over its one sample column, so encoding costs
+    # one row list per cell and one copy of the column.
+    block = aggregates.block(day)
+    groups, targets = block.names()
+    bounds = block.bounds.tolist()
+    rows: List[Any] = [
+        [group, target_id, start, stop]
+        for group, target_id, start, stop in zip(
+            groups, targets, bounds, bounds[1:]
+        )
+    ]
+    for cell, sketch in sorted(block.sketches.items()):
+        rows[cell] = [groups[cell], targets[cell], _sketch_spec(sketch, columns)]
     return {
         "rows": rows,
-        "samples": columns.put(np.concatenate(chunks)) if chunks else None,
+        "samples": columns.put(block.values) if block.values.size else None,
     }
 
 
@@ -227,64 +218,57 @@ def _apply_day_spec(
     spec: Dict[str, Any],
     columns: _ColumnReader,
 ) -> None:
-    # Exact digests decode in bulk from the day's sample column: one
-    # reduceat pair recovers every digest's extrema and the zero-copy
-    # run sink appends the slices.  A per-digest extend() would pay a
-    # Python call plus two tiny numpy reductions for each of tens of
-    # thousands of digests.
+    # Rows decode straight into a DayBlock over the day's sample column
+    # (a zero-copy view of the frame or payload bytes); only rows out of
+    # block order fold cell by cell.
     with _decoding(f"day {day} block"):
         values = (
             np.empty(0)
             if spec["samples"] is None
             else columns.get(spec["samples"], "f8")
         )
-        cells = aggregates._days.setdefault(day, {}) if spec["rows"] else {}
-        exact: List[Any] = []
-        for row in spec["rows"]:
-            if len(row) == 4:
-                exact.append(row)
-                continue
-            group, target_id, sketch_spec = row
-            cells.setdefault(group, {})[target_id] = LatencyDigest.from_sketch(
-                _sketch_from_spec(sketch_spec, columns),
-                exact_threshold=aggregates.exact_threshold,
-                relative_accuracy=aggregates.relative_accuracy,
-                max_buckets=aggregates.max_buckets,
-            )
-        starts = np.fromiter((row[2] for row in exact), np.int64, len(exact))
-        stops = np.fromiter((row[3] for row in exact), np.int64, len(exact))
+        rows = spec["rows"]
+        groups = [row[0] for row in rows]
+        targets = [row[1] for row in rows]
+        sketches: Dict[int, LatencySketch] = {}
+        for cell, row in enumerate(rows):
+            if len(row) != 4:
+                _, _, sketch_spec = row
+                sketches[cell] = _sketch_from_spec(sketch_spec, columns)
+        exact = (
+            [row for cell, row in enumerate(rows) if cell not in sketches]
+            if sketches
+            else rows
+        )
+        first = np.fromiter((row[2] for row in exact), np.int64, len(exact))
+        last = np.fromiter((row[3] for row in exact), np.int64, len(exact))
     # The exact rows tile the column in order: each start is the
     # previous stop (0 first), no slice runs backwards, and the last
     # stop is the column length.
-    edges = np.concatenate(([0], stops))
+    edges = np.concatenate(([0], last))
     if not (
-        np.array_equal(starts, edges[:-1])
+        np.array_equal(first, edges[:-1])
         and edges[-1] == values.size
-        and (stops >= starts).all()
+        and (last >= first).all()
     ):
         raise MeasurementError(
             f"day {day}: exact rows do not tile the day's "
             f"{values.size}-sample column in order"
         )
-    full = stops > starts
-    for group, target_id, _, _ in compress(exact, ~full):
-        cells.setdefault(group, {})[target_id] = aggregates._new_digest()
-    if not full.any():
+    if not rows:
         return
-    starts, stops = starts[full], stops[full]
-    aggregates.observe_runs(
+    # A sketch row's empty slice sits where the column has got to.
+    ends = np.zeros(len(rows), dtype=np.int64)
+    is_exact = np.ones(len(rows), dtype=bool)
+    is_exact[list(sketches)] = False
+    ends[is_exact] = last
+    aggregates.add_cells(
         day,
-        [
-            (row[0], row[1], start, stop, low, high)
-            for row, start, stop, low, high in zip(
-                compress(exact, full),
-                starts.tolist(),
-                stops.tolist(),
-                np.minimum.reduceat(values, starts).tolist(),
-                np.maximum.reduceat(values, starts).tolist(),
-            )
-        ],
+        groups,
+        targets,
+        np.concatenate(([0], np.maximum.accumulate(ends))),
         values,
+        sketches,
     )
 
 

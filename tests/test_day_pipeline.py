@@ -10,13 +10,23 @@
   the episode effect, anycast daily offset, load extras and dirty-record
   slots once, for whichever engine runs; all three engines must
   therefore be staged with identical arguments for every (day, client).
+* **Export bytes.**  The matrix engine's plain and sketch datasets save
+  to pinned framed exports (SHA-256 of the bytes): the day blocks keep
+  every cell, the cell order and each cell's sample order.
 * **Chunking.**  The matrix engine's digest and quarantine total do not
-  depend on how many rows it synthesizes per chunk.
+  depend on how many rows it synthesizes per chunk: five pinned sizes,
+  plus a property over any size in [1, 65536].
 """
 
+import hashlib
+import io
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.faults import FaultPlan
+from repro.measurement.export import save_dataset
 from repro.simulation import campaign
 from repro.simulation.campaign import CampaignConfig, CampaignRunner
 from repro.simulation.episodes import OverloadPlan
@@ -73,6 +83,19 @@ GOLDEN = {
 }
 
 
+#: SHA-256 of the framed export of the matrix engine's dataset per leg.
+EXPORT_SHA256 = {
+    "plain": "e3001cdffbf228fa26ce78b8e3412cae184e743f9aa69f361e8d20b5d3852dca",
+    "sketch": "7010df1a4be0216787dc75197a093c4b33417fedfaf52be7b2c28a0eb5711c72",
+}
+
+
+def _export_sha256(dataset):
+    text = io.StringIO()
+    save_dataset(dataset, text)
+    return hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest()
+
+
 def _run(scenario, engine, leg_config):
     runner = CampaignRunner(
         scenario, CampaignConfig(engine=engine, **leg_config)
@@ -86,6 +109,8 @@ def _run(scenario, engine, leg_config):
 def test_golden_digest(engine_scenario, engine, leg):
     dataset, runner = _run(engine_scenario, engine, LEGS[leg])
     assert (dataset.digest(), runner.quarantine.total) == GOLDEN[engine, leg]
+    if engine == "matrix" and leg in EXPORT_SHA256:
+        assert _export_sha256(dataset) == EXPORT_SHA256[leg]
 
 
 def _recording(stage, log):
@@ -153,3 +178,21 @@ def test_matrix_chunking_keeps_digest(
         assert chunks == client_days
     else:
         assert chunks < client_days
+
+
+@settings(
+    max_examples=8,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(chunk_rows=st.integers(min_value=1, max_value=65536))
+def test_any_matrix_chunk_size_keeps_digest(engine_scenario, chunk_rows):
+    # Chunking decides how runs reach a day block; the digest must not
+    # see it.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(campaign, "_MATRIX_CHUNK_ROWS", chunk_rows)
+        for leg in ("plain", "sketch"):
+            dataset, runner = _run(engine_scenario, "matrix", LEGS[leg])
+            assert (
+                dataset.digest(), runner.quarantine.total
+            ) == GOLDEN["matrix", leg], (leg, chunk_rows)

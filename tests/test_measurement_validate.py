@@ -246,11 +246,9 @@ class TestValidateDataset:
 
         dataset = copy.deepcopy(small_dataset)
         day = dataset.ecs_aggregates.days[0]
-        group, target_id, digest = next(
-            dataset.ecs_aggregates.iter_day(day)
-        )
-        digest.add(float("nan"))
-        digest.add(-12.0)
+        group, target_id, _ = next(dataset.ecs_aggregates.iter_day(day))
+        dataset.ecs_aggregates.observe(day, group, target_id, float("nan"))
+        dataset.ecs_aggregates.observe(day, group, target_id, -12.0)
         dataset.measurement_count += 2
         before_count = dataset.measurement_count
 
@@ -261,7 +259,7 @@ class TestValidateDataset:
             REASON_NEGATIVE_RTT: 1,
         }
         assert dataset.measurement_count == before_count - 2
-        cleaned = dataset.ecs_aggregates._days[day][group][target_id]
+        cleaned = dataset.ecs_aggregates.digest(day, group, target_id)
         assert all(
             0.0 <= v <= MAX_PLAUSIBLE_RTT_MS for v in cleaned.values()
         )
@@ -297,9 +295,7 @@ class TestValidateDataset:
             return dataset
 
         left = shard(0, [float(v) for v in range(10, 50)])
-        left.ecs_aggregates.digest(0, clients[0].key, "anycast").add(
-            float("nan")
-        )
+        left.ecs_aggregates.observe(0, clients[0].key, "anycast", float("nan"))
         _, removed = validate_dataset(left, "lenient")
         assert removed == 1
         cleaned = left.ecs_aggregates.digest(0, clients[0].key, "anycast")
@@ -314,8 +310,8 @@ class TestValidateDataset:
 
         dataset = copy.deepcopy(small_dataset)
         day = dataset.ecs_aggregates.days[0]
-        _, _, digest = next(dataset.ecs_aggregates.iter_day(day))
-        digest.add(float("inf"))
+        group, target_id, _ = next(dataset.ecs_aggregates.iter_day(day))
+        dataset.ecs_aggregates.observe(day, group, target_id, float("inf"))
         with pytest.raises(ValidationError):
             validate_dataset(dataset, "strict")
 

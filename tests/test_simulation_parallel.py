@@ -108,7 +108,7 @@ class TestMergeAggregates:
         b = GroupedDailyAggregates("ecs")
         b.observe(0, "g", "anycast", 1.0)
         a.merge(b)
-        a.digest(0, "g", "anycast").add(99.0)
+        a.observe(0, "g", "anycast", 99.0)
         assert b.digest(0, "g", "anycast").count == 1
 
     def test_mismatched_grouping_rejected(self):
