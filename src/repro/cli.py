@@ -65,7 +65,6 @@ from repro.telemetry import (
     Telemetry,
     TelemetrySnapshot,
     TraceLog,
-    config_digest,
     configure_logging,
     format_run_report,
     format_trace_report,
@@ -326,19 +325,14 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _configure_telemetry(args: argparse.Namespace, config: ScenarioConfig) -> None:
+def _configure_telemetry(args: argparse.Namespace, study: AnycastStudy) -> None:
     """Install the structured-log handler when either flag was given."""
     if args.log_level is None and args.log_format is None:
         return
     configure_logging(
         level=args.log_level or "info",
         fmt=args.log_format or "text",
-        context=RunContext(
-            seed=config.seed,
-            engine=config.engine,
-            workers=config.workers,
-            config_hash=config_digest(config),
-        ),
+        context=study.context,
     )
 
 
@@ -573,9 +567,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ``--sketch-*``, and the checkpoint flags all apply to the *service*
     loop consuming the stream.
     """
-    config = _study_config(args)
-    _configure_telemetry(args, config)
-    study = AnycastStudy(config)
+    study = AnycastStudy(_study_config(args))
+    _configure_telemetry(args, study)
     dataset = study.dataset
     print(
         f"campaign dataset ready: {dataset.measurement_count:,} "
@@ -597,9 +590,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Run a study and print (or write) the full figure report."""
-    config = _study_config(args)
-    _configure_telemetry(args, config)
-    study = AnycastStudy(config, campaign=_campaign_config(args))
+    study = AnycastStudy(_study_config(args), campaign=_campaign_config(args))
+    _configure_telemetry(args, study)
     report = study.full_report()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -623,9 +615,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run a campaign and persist its dataset as JSON."""
-    config = _study_config(args)
-    _configure_telemetry(args, config)
-    study = AnycastStudy(config, campaign=_campaign_config(args))
+    study = AnycastStudy(_study_config(args), campaign=_campaign_config(args))
+    _configure_telemetry(args, study)
     dataset = study.dataset
     save_dataset(dataset, args.dataset)
     if dataset.is_partial:
@@ -759,9 +750,8 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 
 def cmd_troubleshoot(args: argparse.Namespace) -> int:
     """Find the worst anycast vantages and print their traceroutes."""
-    config = _study_config(args)
-    _configure_telemetry(args, config)
-    study = AnycastStudy(config)
+    study = AnycastStudy(_study_config(args))
+    _configure_telemetry(args, study)
     scenario = study.scenario
     topology = scenario.topology
     network = scenario.network
@@ -798,9 +788,8 @@ def cmd_troubleshoot(args: argparse.Namespace) -> int:
 
 def cmd_failover(args: argparse.Namespace) -> int:
     """Withdraw a front-end and print the §2 overload cascade."""
-    config = _study_config(args)
-    _configure_telemetry(args, config)
-    study = AnycastStudy(config)
+    study = AnycastStudy(_study_config(args))
+    _configure_telemetry(args, study)
     scenario = study.scenario
     simulator = WithdrawalSimulator(
         scenario.topology,

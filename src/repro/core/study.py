@@ -54,13 +54,8 @@ from repro.simulation.campaign import CampaignConfig, CampaignStats
 from repro.simulation.dataset import StudyDataset
 from repro.simulation.parallel import ParallelCampaignRunner
 from repro.simulation.scenario import Scenario, ScenarioConfig
-from repro.telemetry import (
-    RunContext,
-    Telemetry,
-    TelemetrySnapshot,
-    config_digest,
-    get_logger,
-)
+from repro.identity import run_context
+from repro.telemetry import Telemetry, TelemetrySnapshot, get_logger
 
 _log = get_logger("study")
 
@@ -76,17 +71,9 @@ class AnycastStudy:
     ) -> None:
         self._config = config or ScenarioConfig()
         self._campaign_config = campaign or CampaignConfig()
-        workers = self._campaign_config.workers
-        if workers is None:
-            workers = self._config.workers
-        self.telemetry = telemetry or Telemetry(
-            RunContext(
-                seed=self._config.seed,
-                engine=self._campaign_config.engine or self._config.engine,
-                workers=workers,
-                config_hash=config_digest(self._config),
-            )
-        )
+        #: The run's identity (seed, engine, workers, config hash).
+        self.context = run_context(self._config, self._campaign_config)
+        self.telemetry = telemetry or Telemetry(self.context)
         self._scenario: Optional[Scenario] = None
         self._dataset: Optional[StudyDataset] = None
         self._campaign_stats: Optional[CampaignStats] = None

@@ -42,6 +42,7 @@ from repro.faults.plan import (
     FaultKind,
     FaultPlan,
     FaultSpec,
+    record_faults,
 )
 
 __all__ = [
@@ -60,4 +61,5 @@ __all__ = [
     "RecordFaultInjector",
     "WorkerFaultInjector",
     "corrupt_payload",
+    "record_faults",
 ]

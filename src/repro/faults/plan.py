@@ -257,6 +257,8 @@ class FaultPlan:
     def compile_records(
         self, seed: int, num_days: int, population: int
     ) -> "CompiledRecordFaultPlan":
+        # record_faults() counts each spec_index below in the run
+        # identity; keying cells differently must change it too.
         """Pin every record-fault instance to a ``(day, client)`` cell.
 
         Coordinates are derived from the seed and the *full* client
@@ -297,6 +299,24 @@ class FaultPlan:
         for cell, instances in staged.items():
             points[cell] = tuple(instances)
         return CompiledRecordFaultPlan(points=points, seed=seed)
+
+
+def record_faults(
+    plan: Optional[FaultPlan],
+) -> Tuple[Tuple[int, FaultSpec], ...]:
+    """The part of a fault plan that changes the data, the identity view
+    of every config's ``fault_plan`` (:mod:`repro.identity`): each
+    ``record-*`` spec with the position :meth:`FaultPlan.compile_records`
+    keys its cells on.  Worker faults are retried away, so a plan
+    without record specs is the same data as no plan.
+    """
+    if plan is None:
+        return ()
+    return tuple(
+        (index, spec)
+        for index, spec in enumerate(plan.specs)
+        if spec.kind in RECORD_KINDS
+    )
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Sequence
 
 import numpy as np
@@ -43,7 +43,8 @@ import numpy as np
 from repro.core.predictor import PredictorConfig
 from repro.errors import ConfigurationError
 from repro.faults.inject import InjectedTransientError
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, record_faults
+from repro.identity import IDENTITY, RUN, config_digest
 from repro.measurement.sketch import (
     DEFAULT_MAX_BUCKETS,
     DEFAULT_RELATIVE_ACCURACY,
@@ -90,6 +91,12 @@ _log = get_logger("service.ingest")
 class ServiceConfig:
     """Knobs of one live-service (or replay) run.
 
+    The checkpoint directory, resume flag, spill cadence and pacing are
+    tagged ``RUN``: they never change the data.  Every other field,
+    and the ``record-*`` specs of ``fault_plan`` with their positions
+    (``repro replay`` dirties the stream from them), is part of the
+    identity a service checkpoint must match (:mod:`repro.identity`).
+
     Attributes:
         window_days: Sliding-window length in days (§6 default: 1).
         predictor: The §6 scoring parameters (percentile, sample cut).
@@ -107,7 +114,8 @@ class ServiceConfig:
             (0 = day-close spills only).
         seed: Scenario seed (drives fault firing points).
         fault_plan: Optional deterministic fault schedule; ``crash`` and
-            ``exception`` kinds fire inside the loop.
+            ``exception`` kinds fire inside the loop, and the replay
+            layer dirties the stream from its ``record-*`` kinds.
         speed: Replay pacing, in simulated seconds per wall-clock second
             (86_400 = one day per second; 0 = unpaced).  A paced loop
             sleeps ``SECONDS_PER_DAY * gap / speed`` before the first
@@ -123,12 +131,14 @@ class ServiceConfig:
     sketch_threshold: Optional[int] = None
     sketch_accuracy: float = DEFAULT_RELATIVE_ACCURACY
     sketch_max_buckets: int = DEFAULT_MAX_BUCKETS
-    checkpoint_dir: Optional[str] = None
-    resume: bool = False
-    checkpoint_every_events: int = 0
+    checkpoint_dir: Optional[str] = field(default=None, metadata=RUN)
+    resume: bool = field(default=False, metadata=RUN)
+    checkpoint_every_events: int = field(default=0, metadata=RUN)
     seed: int = 0
-    fault_plan: Optional[FaultPlan] = None
-    speed: float = 0.0
+    fault_plan: Optional[FaultPlan] = field(
+        default=None, metadata={IDENTITY: record_faults}
+    )
+    speed: float = field(default=0.0, metadata=RUN)
 
     def __post_init__(self) -> None:
         ValidationPolicy.parse(self.validation)
@@ -142,24 +152,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 "resume requires a checkpoint directory"
             )
-
-    def identity(self) -> Dict[str, Any]:
-        """The semantic parameters a checkpoint must match to apply.
-
-        Deliberately excludes operational knobs (pacing, fault plan,
-        the resume flag itself): two runs differing only in those
-        produce identical data, so their checkpoints interchange.
-        """
-        return {
-            "window_days": self.window_days,
-            "metric_percentile": self.predictor.metric_percentile,
-            "min_samples": self.predictor.min_samples,
-            "validation": ValidationPolicy.parse(self.validation).value,
-            "sketch_threshold": self.sketch_threshold,
-            "sketch_accuracy": self.sketch_accuracy,
-            "sketch_max_buckets": self.sketch_max_buckets,
-            "seed": self.seed,
-        }
 
 
 @dataclass
@@ -250,7 +242,13 @@ class LiveService:
         self.num_days = num_days
         self.telemetry = telemetry
         self.progress_listener = progress_listener
-        self.source_fingerprint = source_fingerprint
+        # What a checkpoint must match to apply: the data settings, the
+        # calendar and the stream source.
+        self._identity = {
+            "config_hash": config_digest(config),
+            "num_days": num_days,
+            "source": source_fingerprint,
+        }
         self._compiled = compile_service_plan(config.fault_plan, config.seed)
         self._attempt = 0
         self._retries = 0
@@ -286,12 +284,6 @@ class LiveService:
         # Pacing starts at the first event an attempt processes: a
         # resume does not wait through the prefix it skips.
         self._paced_day: Optional[int] = None
-
-    def _identity(self) -> Dict[str, Any]:
-        identity = self.config.identity()
-        identity["num_days"] = self.num_days
-        identity["source"] = self.source_fingerprint
-        return identity
 
     def _state_obj(self) -> Dict[str, Any]:
         return {
@@ -340,7 +332,7 @@ class LiveService:
         if self.config.checkpoint_dir is None:
             return
         write_service_checkpoint(
-            self.config.checkpoint_dir, self._identity(), self._state_obj()
+            self.config.checkpoint_dir, self._identity, self._state_obj()
         )
         self._checkpoints_written += 1
         self._since_checkpoint = 0
@@ -518,7 +510,7 @@ class LiveService:
             cfg.resume or self._attempt > 0
         ):
             state = load_service_checkpoint(
-                cfg.checkpoint_dir, self._identity()
+                cfg.checkpoint_dir, self._identity
             )
             if state is not None:
                 self._restore_state(state)

@@ -71,8 +71,10 @@ from repro.faults import (
     FaultPlan,
     RecordFaultInjector,
     WorkerFaultInjector,
+    record_faults,
 )
-from repro.telemetry import RunContext, Telemetry, config_digest, get_logger
+from repro.identity import IDENTITY, RUN, resolve, run_context
+from repro.telemetry import Telemetry, get_logger
 from repro.geo.regions import region_of_point
 from repro.measurement.aggregate import GroupedDailyAggregates, RequestDiffLog
 from repro.measurement.sketch import (
@@ -156,6 +158,11 @@ class CampaignProgress:
 @dataclass(frozen=True)
 class CampaignConfig:
     """Campaign-level knobs.
+
+    The progress listener, worker count and resilience knobs are tagged
+    ``RUN``: they never change the data, so they stay out of the run
+    identity (:mod:`repro.identity`) that ``config_hash`` and shard
+    checkpoints carry; of ``fault_plan`` only the record faults count.
 
     Attributes:
         beacon: Beacon methodology parameters.
@@ -253,16 +260,20 @@ class CampaignConfig:
     """
 
     beacon: BeaconConfig = BeaconConfig()
-    progress_listener: Optional[Callable[["CampaignProgress"], None]] = None
-    workers: Optional[int] = None
+    progress_listener: Optional[Callable[["CampaignProgress"], None]] = field(
+        default=None, metadata=RUN
+    )
+    workers: Optional[int] = field(default=None, metadata=RUN)
     engine: Optional[str] = None
-    fault_plan: Optional[FaultPlan] = None
-    max_retries: int = 2
-    shard_timeout: Optional[float] = None
-    allow_partial: bool = False
-    checkpoint_dir: Optional[str] = None
-    resume: bool = False
-    retry_backoff_seconds: float = 0.05
+    fault_plan: Optional[FaultPlan] = field(
+        default=None, metadata={IDENTITY: record_faults}
+    )
+    max_retries: int = field(default=2, metadata=RUN)
+    shard_timeout: Optional[float] = field(default=None, metadata=RUN)
+    allow_partial: bool = field(default=False, metadata=RUN)
+    checkpoint_dir: Optional[str] = field(default=None, metadata=RUN)
+    resume: bool = field(default=False, metadata=RUN)
+    retry_backoff_seconds: float = field(default=0.05, metadata=RUN)
     validation: str = "lenient"
     sketch_threshold: Optional[int] = None
     sketch_accuracy: float = DEFAULT_RELATIVE_ACCURACY
@@ -2244,7 +2255,7 @@ class CampaignRunner:
         fault_injector: Optional[WorkerFaultInjector] = None,
     ) -> None:
         self._scenario = scenario
-        self._config = config or CampaignConfig()
+        self._config = resolve(config or CampaignConfig(), scenario.config)
         if client_slice is not None:
             start, stop = client_slice
             if not 0 <= start <= stop <= len(scenario.clients):
@@ -2265,14 +2276,8 @@ class CampaignRunner:
                 hang_seconds=compiled.hang_seconds,
             )
         self._fault_injector = fault_injector
-        engine = self._config.engine or scenario.config.engine
         self.telemetry = telemetry or Telemetry(
-            RunContext(
-                seed=scenario.config.seed,
-                engine=engine,
-                workers=1,
-                config_hash=config_digest(scenario.config),
-            )
+            run_context(scenario.config, self._config, workers=1)
         )
         self.stats: Optional[CampaignStats] = None
         #: Records rejected or repaired by this run's validation gate.
@@ -2304,7 +2309,7 @@ class CampaignRunner:
         scenario = self._scenario
         cfg = self._config
         calendar = scenario.calendar
-        engine = cfg.engine or scenario.config.engine
+        engine = cfg.engine
 
         beacons_counter = tel.counter(
             "campaign.beacons_total", "beacon sessions executed (§3.2.2)"

@@ -15,9 +15,10 @@ one ``shard-NNNN.ckpt`` file in the shared checkpoint envelope
   quarantine log rides inside.
 
 On resume, a checkpoint is only reused when its header matches the
-requesting campaign (same shard layout, seed, and config hash — a
-different engine or beacon config produces different data, so its hash
-differs) *and* both integrity anchors verify.  A checkpoint that fails
+requesting campaign (same shard layout, seed, and config hash — the
+run's data identity from :mod:`repro.identity`, which any setting that
+changes the data moves and no run setting does) *and* both integrity
+anchors verify.  A checkpoint that fails
 verification raises :class:`repro.errors.CheckpointError`; the caller
 treats that as "no checkpoint" and re-runs the shard, because a corrupt
 spill must never silently feed an analysis.

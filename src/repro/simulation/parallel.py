@@ -89,12 +89,8 @@ from repro.simulation.transport import (
     release_payload,
     ship_payload,
 )
-from repro.telemetry import (
-    RunContext,
-    Telemetry,
-    config_digest,
-    get_logger,
-)
+from repro.identity import resolve, run_context
+from repro.telemetry import RunContext, Telemetry, get_logger
 
 _log = get_logger("parallel")
 
@@ -144,11 +140,13 @@ class _ShardTask:
     proxy for worker processes, a plain queue in-process) the worker
     posts its ``(shard_index, CampaignProgress)`` rows into; absent when
     no progress listener is configured, so quiet runs pay no Manager
-    cost.
+    cost.  ``context`` is the coordinator's run context: shards report
+    its identity instead of deriving one from their own config.
     """
 
     scenario_config: ScenarioConfig
     campaign_config: CampaignConfig
+    context: RunContext
     start: int
     stop: int
     shard_index: int
@@ -202,15 +200,7 @@ def _run_shard(task: _ShardTask) -> _ShardEnvelope:
     # Crash before the (comparatively expensive) scenario rebuild — a
     # worker that dies on arrival does no work at all.
     injector.on_worker_start()
-    engine = task.campaign_config.engine or task.scenario_config.engine
-    telemetry = Telemetry(
-        RunContext(
-            seed=task.scenario_config.seed,
-            engine=engine,
-            workers=1,
-            config_hash=config_digest(task.scenario_config),
-        )
-    )
+    telemetry = Telemetry(task.context)
     # Trace events this worker emits land on its own shard lane,
     # stamped with the attempt so retries are distinguishable.
     telemetry.trace.lane = task.shard_index
@@ -450,26 +440,21 @@ class ParallelCampaignRunner:
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self._scenario = scenario
-        self._config = config or CampaignConfig()
+        self._config = resolve(config or CampaignConfig(), scenario.config)
         if workers is None:
             workers = self._config.workers
-        if workers is None:
-            workers = scenario.config.workers
         if workers < 1:
             raise ConfigurationError("workers must be >= 1")
         # Shards first, workers second: the pool never outnumbers the
         # (population-clamped) shard list it serves.
         self._bounds = shard_bounds(len(scenario.clients), workers)
         self._workers = min(workers, len(self._bounds))
-        engine = self._config.engine or scenario.config.engine
-        self.telemetry = telemetry or Telemetry(
-            RunContext(
-                seed=scenario.config.seed,
-                engine=engine,
-                workers=self._workers,
-                config_hash=config_digest(scenario.config),
-            )
+        # Computed once: shards report this context, and its config_hash
+        # is the identity shard checkpoints are written and resumed under.
+        self._context = run_context(
+            scenario.config, self._config, workers=self._workers
         )
+        self.telemetry = telemetry or Telemetry(self._context)
         self.stats: Optional[CampaignStats] = None
         self.fired_faults: Tuple[Tuple[int, int, str], ...] = ()
         #: Merged quarantine accounting across all shards (or the single
@@ -537,7 +522,6 @@ class ParallelCampaignRunner:
         scenario = self._scenario
         cfg = self._config
         tel = self.telemetry
-        engine = cfg.engine or scenario.config.engine
         seed = scenario.config.seed
         bounds = self._bounds
         # Workers receive no *worker*-fault plan: the coordinator compiles
@@ -558,30 +542,7 @@ class ParallelCampaignRunner:
             checkpoint_dir=None,
             resume=False,
         )
-        # Checkpoint identity: anything that changes the *data* — the
-        # scenario, the beacon methodology, the engine, the validation
-        # policy, and any dirty-data faults.  Deliberately excludes
-        # worker-fault/retry knobs, which never change the data.
-        record_plan = worker_config.fault_plan
-        checkpoint_hash = config_digest(
-            (
-                scenario.config,
-                worker_config.beacon,
-                engine,
-                cfg.validation,
-                record_plan.spec_string() if record_plan is not None else None,
-                cfg.sketch_threshold,
-                cfg.sketch_accuracy,
-                cfg.sketch_max_buckets,
-                cfg.frontend_capacity,
-                cfg.load_policy,
-                (
-                    cfg.overload_plan.spec_string()
-                    if cfg.overload_plan is not None
-                    else None
-                ),
-            )
-        )
+        checkpoint_hash = self._context.config_hash
         compiled: Optional[CompiledFaultPlan] = (
             cfg.fault_plan.compile(seed, len(bounds))
             if cfg.fault_plan is not None
@@ -748,6 +709,7 @@ class ParallelCampaignRunner:
                 task = _ShardTask(
                     scenario_config=scenario.config,
                     campaign_config=worker_config,
+                    context=self._context,
                     start=start,
                     stop=stop,
                     shard_index=shard,

@@ -24,6 +24,7 @@ from repro.clients.workload import WorkloadConfig, WorkloadModel
 from repro.dns.ldns import LdnsConfig, LdnsDirectory
 from repro.geo.geolocation import GeolocationDatabase
 from repro.geo.metros import MetroDatabase
+from repro.identity import RUN
 from repro.latency.model import LatencyConfig, LatencyModel
 from repro.net.topology import TopologyBuilder, TopologyConfig, populate_base_internet
 from repro.rand import derive_seed
@@ -56,7 +57,10 @@ class ScenarioConfig:
     #: Default worker-process count for campaigns over this scenario.
     #: Results are bit-identical for any value; >1 shards the client
     #: population across processes (see repro.simulation.parallel).
-    workers: int = 1
+    #: Like ``engine``, a run setting: a campaign config resolves its
+    #: unset fields from these defaults (repro.identity.resolve), and
+    #: the run identity counts the resolved campaign config.
+    workers: int = field(default=1, metadata=RUN)
     #: Default measurement engine for campaigns over this scenario:
     #: ``"reference"`` (scalar, one draw per sample — the oracle),
     #: ``"vectorized"`` (numpy-batched per (client, day) block, several
@@ -66,7 +70,7 @@ class ScenarioConfig:
     #: counter-based draw streams and produce bit-identical datasets to
     #: each other, while ``"reference"`` consumes randomness differently
     #: and matches only within itself.
-    engine: str = "reference"
+    engine: str = field(default="reference", metadata=RUN)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.geolocation_error_fraction <= 1.0:

@@ -22,7 +22,7 @@ text format, pretty-print as a run report, and distill into the run
 manifest written alongside every dataset.
 """
 
-from repro.telemetry.core import Telemetry, config_digest
+from repro.telemetry.core import Telemetry
 from repro.telemetry.history import (
     BenchHistory,
     ComparisonResult,
@@ -85,7 +85,6 @@ __all__ = [
     "build_run_manifest",
     "check_history",
     "compare_records",
-    "config_digest",
     "configure_logging",
     "format_history_report",
     "format_run_report",

@@ -19,7 +19,6 @@ own telemetry.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Any, Dict, Optional, Union
 
 from repro.errors import TelemetryError
@@ -33,18 +32,6 @@ from repro.telemetry.registry import (
 from repro.telemetry.snapshot import TelemetrySnapshot
 from repro.telemetry.spans import SpanTracker
 from repro.telemetry.trace import TraceLog, set_active_trace
-
-
-def config_digest(config: object) -> str:
-    """A short stable digest of a configuration object.
-
-    Frozen dataclass ``repr``s are deterministic field-by-field
-    renderings, so hashing the repr fingerprints every knob without a
-    custom serializer.  Used as the ``config_hash`` in run contexts and
-    manifests, making runs self-describing ("same digest" == "same
-    configuration").
-    """
-    return hashlib.sha256(repr(config).encode("utf-8")).hexdigest()[:16]
 
 
 class Telemetry:
@@ -125,9 +112,11 @@ class Telemetry:
         Counters add, gauges combine under their merge policy,
         histograms add per bucket, and the snapshot's trace (its span
         records with it) merges into this one.  Context keys present on
-        both sides must agree — shards of one run share seed, engine and
-        config hash, so a mismatch means snapshots of *different* runs —
-        except ``workers``, which each shard reports as 1.
+        both sides must agree — shards of one run report their
+        coordinator's seed, engine and config hash, so a mismatch means
+        snapshots of *different* runs — except ``workers``: a caller's
+        context counts the workers it asked for, which the coordinator
+        clamps to the shard count.
 
         Raises:
             TelemetryError: on a conflicting context value, gauge

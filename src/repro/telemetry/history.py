@@ -8,11 +8,15 @@ RSS, dataset digest) to a ``BENCH_history.json`` ledger, and
 a rolling baseline, failing CI on >20% regressions once enough history
 exists to compare.
 
-Records group by ``(label, engine, host fingerprint, config hash)`` —
-comparing a 2-core CI runner against a 32-core laptop, or a 3-day bench
-against a 1-day smoke, would only produce noise.  Groups with fewer
-than two records pass the check with a note, which is exactly the
-"non-blocking until two records exist" CI semantics the gate wants.
+Records group by ``(label, engine, workers, host fingerprint, config
+hash)`` — comparing a 2-core CI runner against a 32-core laptop, a
+3-day bench against a 1-day smoke, or a serial run against a sharded
+one would only produce noise.  The config hash is the run's data
+identity (:func:`repro.identity.config_digest`), which no run setting
+moves, so the worker count that ran the campaign is its own key.
+Groups with fewer than two records pass the check with a note, which is
+exactly the "non-blocking until two records exist" CI semantics the
+gate wants.
 
 Stdlib only: the ledger uses its own temp-file + ``os.replace`` atomic
 write rather than :mod:`repro.measurement.storage` to keep
@@ -45,6 +49,10 @@ DEFAULT_THRESHOLD = 0.20
 #: How many prior records form the rolling baseline.
 DEFAULT_BASELINE_WINDOW = 5
 
+#: ``(label, engine, workers, host, config_hash)``: records compare only
+#: within one group.
+GroupKey = Tuple[str, str, int, str, str]
+
 
 def host_fingerprint() -> str:
     """A coarse host identity so baselines never cross machines."""
@@ -67,16 +75,21 @@ class PerfRecord:
     phase_seconds: Dict[str, float] = field(default_factory=dict)
     peak_rss_bytes: int = 0
     dataset_digest: Optional[str] = None
+    workers: int = 1
 
-    def group_key(self) -> Tuple[str, str, str, str]:
+    def group_key(self) -> GroupKey:
         """Records compare only within the same group."""
-        return (self.label, self.engine, self.host, self.config_hash)
+        return (
+            self.label, self.engine, self.workers, self.host,
+            self.config_hash,
+        )
 
     def to_obj(self) -> Dict[str, Any]:
         """A JSON-compatible document for this record."""
         obj: Dict[str, Any] = {
             "label": self.label,
             "engine": self.engine,
+            "workers": self.workers,
             "host": self.host,
             "config_hash": self.config_hash,
             "recorded_at": self.recorded_at,
@@ -106,6 +119,7 @@ class PerfRecord:
             },
             peak_rss_bytes=int(obj.get("peak_rss_bytes", 0)),
             dataset_digest=obj.get("dataset_digest"),
+            workers=int(obj.get("workers", 1)),
         )
 
 
@@ -126,10 +140,12 @@ def record_from_snapshot(
 ) -> PerfRecord:
     """Build a :class:`PerfRecord` from a :class:`TelemetrySnapshot`.
 
-    Wall time comes from the ``campaign.wall_seconds`` gauge (or the
-    explicit override), throughput from ``campaign.beacons_total`` over
-    that wall time, phase splits from every span path, and peak RSS
-    from the ``campaign.peak_rss_bytes`` gauge.
+    Engine, worker count and config hash come from the snapshot's run
+    context (unless overridden), wall time from the
+    ``campaign.wall_seconds`` gauge (or the explicit override),
+    throughput from ``campaign.beacons_total`` over that wall time,
+    phase splits from every span path, and peak RSS from the
+    ``campaign.peak_rss_bytes`` gauge.
     """
     gauges = snapshot.gauges
     if wall_seconds is None:
@@ -157,6 +173,7 @@ def record_from_snapshot(
         phase_seconds=phase_seconds,
         peak_rss_bytes=peak_rss,
         dataset_digest=dataset.digest() if dataset is not None else None,
+        workers=int(snapshot.context.get("workers", 1)),
     )
 
 
@@ -215,9 +232,9 @@ class BenchHistory:
                 os.unlink(tmp_path)
             raise
 
-    def groups(self) -> Dict[Tuple[str, str, str, str], List[PerfRecord]]:
+    def groups(self) -> Dict[GroupKey, List[PerfRecord]]:
         """Records partitioned by group key, ledger order preserved."""
-        grouped: Dict[Tuple[str, str, str, str], List[PerfRecord]] = {}
+        grouped: Dict[GroupKey, List[PerfRecord]] = {}
         for record in self.records:
             grouped.setdefault(record.group_key(), []).append(record)
         return grouped
@@ -362,7 +379,7 @@ def format_history_report(results: Sequence[ComparisonResult]) -> str:
             status = "PASS (no baseline)"
         lines.append(
             f"[{status}] {record.label} / {record.engine} "
-            f"@ {record.host} cfg={record.config_hash} "
+            f"x{record.workers} @ {record.host} cfg={record.config_hash} "
             f"(baseline n={result.baseline_size})"
         )
         for note in result.notes:

@@ -49,7 +49,13 @@ _LEVELS = {
 
 @dataclass(frozen=True)
 class RunContext:
-    """Identity of one run, attached to every structured log line."""
+    """Identity of one run, attached to every structured log line.
+
+    ``config_hash`` is the run's data identity
+    (:func:`repro.identity.config_digest`, via
+    :func:`repro.identity.run_context`): no run setting such as the
+    worker count moves it, every data setting does.
+    """
 
     seed: int = 0
     engine: str = "reference"

@@ -5,7 +5,7 @@ round-trip, and the gate semantics ``tools/bench_history.py`` relies
 on: groups with fewer than two records pass (non-blocking bootstrap),
 >threshold throughput/phase regressions fail, a changed dataset digest
 fails, sub-noise-floor phase jitter passes, and baselines never cross
-group boundaries.
+group boundaries, worker counts included.
 """
 
 import json
@@ -13,9 +13,11 @@ import json
 import pytest
 
 from repro.clients.population import ClientPopulationConfig
+from repro.identity import run_context
 from repro.simulation.campaign import CampaignConfig, CampaignRunner
 from repro.simulation.clock import SimulationCalendar
 from repro.simulation.scenario import Scenario, ScenarioConfig
+from repro.telemetry import Telemetry
 from repro.telemetry.history import (
     HISTORY_FORMAT_VERSION,
     BenchHistory,
@@ -36,6 +38,7 @@ def make_record(
     host: str = "host-a",
     config_hash: str = "cfg",
     dataset_digest=None,
+    workers: int = 1,
 ) -> PerfRecord:
     return PerfRecord(
         label=label,
@@ -47,6 +50,7 @@ def make_record(
         beacons_per_second=rate,
         phase_seconds=dict(phases or {"campaign": 1.0}),
         dataset_digest=dataset_digest,
+        workers=workers,
     )
 
 
@@ -71,6 +75,7 @@ def test_record_from_campaign_snapshot():
 
     assert record.label == "unit"
     assert record.engine == "vectorized"
+    assert record.workers == 1
     assert record.host == host_fingerprint()
     assert record.wall_seconds > 0
     assert record.beacons_per_second > 0
@@ -79,8 +84,29 @@ def test_record_from_campaign_snapshot():
 
 
 def test_record_round_trip():
-    record = make_record(phases={"campaign": 2.0, "campaign/day": 1.5})
+    record = make_record(
+        phases={"campaign": 2.0, "campaign/day": 1.5}, workers=2
+    )
     assert PerfRecord.from_obj(record.to_obj()) == record
+
+
+def test_worker_count_comes_from_the_run_context():
+    # config_hash is the data identity, which no worker count moves, so
+    # the record's own worker count keeps a serial and a 2-worker run of
+    # one configuration in separate groups.
+    config = ScenarioConfig(seed=3)
+    serial, sharded = (
+        record_from_snapshot(
+            Telemetry(
+                run_context(config, CampaignConfig(workers=workers))
+            ).snapshot(),
+            "repro-run",
+        )
+        for workers in (1, 2)
+    )
+    assert serial.config_hash == sharded.config_hash
+    assert (serial.workers, sharded.workers) == (1, 2)
+    assert serial.group_key() != sharded.group_key()
 
 
 # ----------------------------------------------------------------------
@@ -192,18 +218,20 @@ def test_dataset_digest_compared_only_when_both_present():
 
 
 def test_groups_never_cross_compare():
-    # A catastrophic "regression" against a different engine's records
-    # must not fail: the groups are disjoint, so both lack baselines.
-    history = BenchHistory(
-        [
-            make_record(10_000.0, engine="matrix"),
-            make_record(100.0, engine="reference"),
-        ]
-    )
-    results = check_history(history)
-    assert len(results) == 2
-    assert all(result.ok for result in results)
-    assert all(not result.comparable for result in results)
+    # A catastrophic "regression" against a different engine's, or a
+    # different worker count's, records must not fail: the groups are
+    # disjoint, so both lack baselines.
+    for fast, slow in (
+        ({"engine": "matrix"}, {"engine": "reference"}),
+        ({"workers": 1}, {"workers": 2}),
+    ):
+        history = BenchHistory(
+            [make_record(10_000.0, **fast), make_record(100.0, **slow)]
+        )
+        results = check_history(history)
+        assert len(results) == 2, (fast, slow)
+        assert all(result.ok for result in results)
+        assert all(not result.comparable for result in results)
 
 
 def test_baseline_is_median_of_window():

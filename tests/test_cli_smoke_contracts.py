@@ -7,8 +7,9 @@ back, so the legs are also the export format's round trip across
 engines and worker counts, read through each ``.cols`` sidecar and
 through the frames:
 
-* serial == 2-worker digests on the reference and vectorized engines,
-  and matrix == vectorized;
+* serial == 2-worker digests and manifest ``config_hash`` (the run's
+  data identity, which no worker count moves) on the reference and
+  vectorized engines, and matrix == vectorized;
 * the vectorized 2-worker manifest's phase seconds are sums of the
   trace's phase slices;
 * the engines and a sharded run agree on seven volume counters;
@@ -83,15 +84,25 @@ def _counters(smoke, name):
     return TelemetrySnapshot.from_json(path.read_text("utf-8")).counters
 
 
+def _config_hash(smoke, name):
+    path = smoke / f"smoke-{name}.manifest.json"
+    return json.loads(path.read_text("utf-8"))["config_hash"]
+
+
 def test_serial_equals_two_workers(smoke):
     assert _digest(smoke, "serial") == _digest(smoke, "parallel"), (
         "serial and 2-worker smoke campaigns diverged"
     )
+    assert _config_hash(smoke, "serial") == _config_hash(smoke, "parallel")
 
 
 def test_vectorized_serial_equals_two_workers(smoke):
     assert _digest(smoke, "vec-serial") == _digest(smoke, "vec-parallel"), (
         "vectorized serial and 2-worker smoke campaigns diverged"
+    )
+    assert (
+        _config_hash(smoke, "vec-serial")
+        == _config_hash(smoke, "vec-parallel")
     )
 
 

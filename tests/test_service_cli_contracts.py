@@ -9,7 +9,10 @@ engine) and replayed through ``repro replay`` three ways:
 * paced (``--speed``), which must print the unpaced digests;
 * killed by an injected crash (exit 3) and resumed from its checkpoint,
   which must be bit-identical to an uninterrupted run of the same
-  record faults.
+  record faults, while a replay under other record faults must not
+  adopt that checkpoint.
+
+``repro trace`` summarizes the unpaced replay's trace.
 
 Every file lands in one ``service`` directory under pytest's base
 temporary directory, so a run with ``--basetemp`` leaves the manifests,
@@ -18,6 +21,7 @@ them.
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -125,3 +129,55 @@ def test_crash_killed_resume_is_bit_identical(out_dir, campaign):
         resumed["digests"], reference["digests"]
     )
     assert resumed["quarantine"]["dropped"] > 0, resumed["quarantine"]
+
+
+def test_trace_command_summarizes_service_timeline(out_dir, unpaced, capsys):
+    capsys.readouterr()  # drop what the fixtures printed
+    assert main(["trace", str(out_dir / "service-trace.json")]) == 0
+    assert capsys.readouterr().out.strip()
+
+
+def test_checkpoint_resumes_only_under_its_record_faults(
+    out_dir, campaign, unpaced
+):
+    # The replay dirties the stream from the plan's record-* specs, so
+    # they are part of the identity a checkpoint must match; the crash
+    # is not.
+    plan = "record-corrupt:8,crash:1"
+    crashed = out_dir / "service-dirty-ckpt"
+    common = ["replay", campaign, "--seed", "7"]
+    assert main(common + [
+        "--fault-plan", plan, "--checkpoint-dir", str(crashed),
+        "--checkpoint-every", "1000",
+    ]) == 3
+    same_plan_dir = out_dir / "service-dirty-ckpt-same-plan"
+    shutil.copytree(crashed, same_plan_dir)
+
+    # No record faults: the dirty checkpoint is not adopted, and the
+    # replay reads the clean digests.
+    assert main(common + [
+        "--resume-from", str(crashed),
+        "--manifest-out", str(out_dir / "service-other-plan.manifest.json"),
+    ]) == 0
+    other = _json(out_dir / "service-other-plan.manifest.json")
+    assert other["resumed_from_cursor"] == 0, other
+    assert other["digests"] == unpaced["digests"], (
+        other["digests"], unpaced["digests"]
+    )
+
+    # The same plan resumes mid-stream to the dirty run's digests.
+    assert main(common + [
+        "--fault-plan", plan, "--resume-from", str(same_plan_dir),
+        "--manifest-out", str(out_dir / "service-same-plan.manifest.json"),
+    ]) == 0
+    assert main(common + [
+        "--fault-plan", "record-corrupt:8,exception:1",
+        "--manifest-out", str(out_dir / "service-dirty.manifest.json"),
+    ]) == 0
+    same = _json(out_dir / "service-same-plan.manifest.json")
+    dirty = _json(out_dir / "service-dirty.manifest.json")
+    assert same["resumed_from_cursor"] > 0, same
+    assert same["digests"] == dirty["digests"], (
+        same["digests"], dirty["digests"]
+    )
+    assert dirty["digests"] != unpaced["digests"]

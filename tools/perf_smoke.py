@@ -597,18 +597,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.history_out:
         # Seed the perf-history ledger so tools/bench_history.py has a
-        # record per engine even on a job's very first run.
+        # record per leg even on a job's very first run.  Each record's
+        # engine and config hash come from its run context: the load
+        # leg's capacity, drill and policy are data settings, so it
+        # gets its own group.
         history = BenchHistory.load(args.history_out)
-        for engine, dataset, snapshot in (
-            ("reference", ref_dataset, ref_snapshot),
-            ("vectorized", vec_dataset, vec_snapshot),
-            ("matrix", mat_dataset, mat_snapshot),
-            ("vectorized-load", load_dataset, load_snapshot),
+        for dataset, snapshot in (
+            (ref_dataset, ref_snapshot),
+            (vec_dataset, vec_snapshot),
+            (mat_dataset, mat_snapshot),
+            (load_dataset, load_snapshot),
         ):
             history.append(
-                record_from_snapshot(
-                    snapshot, "perf-smoke", engine=engine, dataset=dataset
-                )
+                record_from_snapshot(snapshot, "perf-smoke", dataset=dataset)
             )
         history.save(args.history_out)
         print(
