@@ -43,6 +43,7 @@ from repro.faults import FaultPlan
 from repro.faults.inject import InjectedCrashError
 from repro.geo.coords import haversine_km
 from repro.errors import ReproError, StorageError
+from repro.identity import service_context
 from repro.measurement.export import load_dataset, recover_dataset, save_dataset
 from repro.measurement.sketch import (
     DEFAULT_MAX_BUCKETS,
@@ -61,7 +62,6 @@ from repro.simulation.episodes import OverloadPlan
 from repro.simulation.scenario import ScenarioConfig
 from repro.telemetry import (
     BenchHistory,
-    RunContext,
     Telemetry,
     TelemetrySnapshot,
     TraceLog,
@@ -480,12 +480,14 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
 
 
 def _run_service(
-    args: argparse.Namespace, dataset: StudyDataset, label: str
+    args: argparse.Namespace,
+    config: ServiceConfig,
+    dataset: StudyDataset,
+    label: str,
 ) -> int:
     """Stream a dataset through the live service and write its outputs."""
-    config = _service_config(args)
     telemetry = Telemetry(
-        context={"seed": config.seed, "mode": label}
+        context={**service_context(config).as_dict(), "mode": label}
     )
     listener = (
         _progress_ticker() if getattr(args, "progress", False) else None
@@ -574,18 +576,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"campaign dataset ready: {dataset.measurement_count:,} "
         f"measurements over {dataset.calendar.num_days} days; streaming"
     )
-    return _run_service(args, dataset, "serve")
+    return _run_service(args, _service_config(args), dataset, "serve")
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """Stream a recorded dataset export through the live service."""
+    config = _service_config(args)
     if args.log_level is not None or args.log_format is not None:
         configure_logging(
             level=args.log_level or "info",
             fmt=args.log_format or "text",
-            context=RunContext(seed=args.seed, engine="service"),
+            context=service_context(config),
         )
-    return _run_service(args, load_dataset(args.dataset), "replay")
+    return _run_service(args, config, load_dataset(args.dataset), "replay")
 
 
 def cmd_report(args: argparse.Namespace) -> int:

@@ -89,15 +89,14 @@ class HistoryBasedPredictor:
     def choose_target(
         self, group: str, digests: Mapping[str, LatencyDigest]
     ) -> Optional[Prediction]:
-        """The §6 scoring core over one group's target → digest map.
+        """The §6 rule for one group over its target → digest map.
 
-        This is the single definition of "score and choose" — the batch
-        paths (:meth:`predict_group`) and the live service's online
-        predictor (:mod:`repro.service.predictor`) both call it, so the
-        two can only ever disagree if their *windows* differ, never
-        their scoring.  Returns ``None`` when no target (anycast
-        included) reaches the sample cut — such groups simply stay on
-        anycast.
+        The per-group statement of "score and choose":
+        :meth:`predict_group` calls it, and :meth:`predict_day` (which
+        Fig 9 and the live service's online predictor call) is tested
+        against it, group by group.  Returns ``None`` when no target
+        (anycast included) reaches the sample cut — such groups simply
+        stay on anycast.
         """
         cfg = self._config
         candidates = {

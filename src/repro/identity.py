@@ -31,6 +31,7 @@ from repro.errors import ConfigurationError
 from repro.telemetry.logs import RunContext
 
 if TYPE_CHECKING:
+    from repro.service.ingest import ServiceConfig
     from repro.simulation.campaign import CampaignConfig
     from repro.simulation.scenario import ScenarioConfig
 
@@ -110,4 +111,16 @@ def run_context(
         engine=campaign.engine,
         workers=workers or campaign.workers,
         config_hash=config_digest(scenario, campaign),
+    )
+
+
+def service_context(config: "ServiceConfig") -> RunContext:
+    """The :class:`RunContext` of a live-service run over ``config``:
+    engine ``"service"`` and the :func:`config_digest` of ``config`` as
+    ``config_hash``, the identity its checkpoints are keyed on.
+    """
+    return RunContext(
+        seed=config.seed,
+        engine="service",
+        config_hash=config_digest(config),
     )

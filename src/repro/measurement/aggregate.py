@@ -27,7 +27,6 @@ Two aggregation modes exist end to end:
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 from itertools import chain, groupby
@@ -45,7 +44,6 @@ from typing import (
 import numpy as np
 
 from repro.errors import AnalysisError, MeasurementError
-from repro.latency.sampling import percentile
 from repro.measurement.canonical import (
     key_values,
     order_keys,
@@ -56,360 +54,6 @@ from repro.measurement.sketch import (
     DEFAULT_RELATIVE_ACCURACY,
     LatencySketch,
 )
-
-
-#: The error every mutator of a store view raises.
-_READ_ONLY = (
-    "this digest is a read-only view of a GroupedDailyAggregates cell; "
-    "append through the aggregates' observe/observe_many/observe_runs"
-)
-
-
-class LatencyDigest:
-    """Append-only latency accumulator with percentile queries.
-
-    Exact mode: samples live in a C-double array; the sorted view is
-    computed lazily and invalidated on append, so an analysis pass
-    issuing consecutive percentile queries sorts at most once.  Large
-    digests sort into a numpy array (one ``np.sort`` over the buffer,
-    O(1) interpolated quantile lookups); small ones stay on plain Python
-    lists, which are cheaper below the array-conversion overhead.
-
-    With ``exact_threshold`` set, a digest whose count exceeds the
-    threshold promotes into a bounded :class:`LatencySketch` — raw
-    samples are dropped and percentiles answer within the sketch's
-    documented relative error.  ``minimum``/``maximum``/``count`` stay
-    exact in both modes (running extrema, O(1) per query).
-
-    :class:`GroupedDailyAggregates` hands out read-only digests over its
-    block cells (:meth:`GroupedDailyAggregates.digest`); their
-    :meth:`add`, :meth:`extend` and :meth:`merge` raise, and
-    :meth:`copy` gives an ordinary accumulator.
-    """
-
-    __slots__ = (
-        "_values",
-        "_sorted",
-        "_sorted_array",
-        "_min",
-        "_max",
-        "_exact_threshold",
-        "_relative_accuracy",
-        "_max_buckets",
-        "_sketch",
-        "_frozen",
-    )
-
-    #: Sample count at which percentile queries switch from a sorted
-    #: Python list to a sorted numpy array.
-    _NUMPY_SORT_THRESHOLD = 64
-
-    def __init__(
-        self,
-        values: Optional[Sequence[float]] = None,
-        exact_threshold: Optional[int] = None,
-        relative_accuracy: float = DEFAULT_RELATIVE_ACCURACY,
-        max_buckets: int = DEFAULT_MAX_BUCKETS,
-    ) -> None:
-        if exact_threshold is not None and exact_threshold < 1:
-            raise MeasurementError("exact_threshold must be >= 1")
-        self._values: Optional[array] = array("d")
-        self._sorted: Optional[List[float]] = None
-        self._sorted_array: Optional[np.ndarray] = None
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
-        self._exact_threshold = exact_threshold
-        self._relative_accuracy = relative_accuracy
-        self._max_buckets = max_buckets
-        self._sketch: Optional[LatencySketch] = None
-        self._frozen = False
-        if values is not None and len(values) > 0:
-            self.extend(values)
-
-    # ------------------------------------------------------------------
-    # Mode plumbing
-    # ------------------------------------------------------------------
-
-    @property
-    def is_exact(self) -> bool:
-        """Whether raw samples are still retained."""
-        return self._sketch is None
-
-    @property
-    def sketch(self) -> Optional[LatencySketch]:
-        """The backing sketch once promoted (``None`` in exact mode)."""
-        return self._sketch
-
-    @property
-    def exact_threshold(self) -> Optional[int]:
-        """Sample count beyond which this digest promotes to a sketch."""
-        return self._exact_threshold
-
-    @property
-    def relative_accuracy(self) -> float:
-        """Configured sketch accuracy (used at and after promotion)."""
-        return self._relative_accuracy
-
-    @property
-    def max_buckets(self) -> int:
-        """Configured hard cap on sketch buckets after promotion."""
-        return self._max_buckets
-
-    def _new_sketch(self) -> LatencySketch:
-        return LatencySketch(
-            relative_accuracy=self._relative_accuracy,
-            max_buckets=self._max_buckets,
-        )
-
-    def _promote(self) -> None:
-        """Convert retained samples into sketch state (canonical: the
-        result depends only on the sample multiset, not on when the
-        promotion happened)."""
-        assert self._values is not None
-        sketch = self._new_sketch()
-        if len(self._values):
-            sketch.extend(np.frombuffer(self._values, dtype=np.float64))
-        self._sketch = sketch
-        self._values = None
-        self._invalidate()
-
-    def _maybe_promote(self) -> None:
-        if (
-            self._exact_threshold is not None
-            and self._values is not None
-            and len(self._values) > self._exact_threshold
-        ):
-            self._promote()
-
-    def copy(self) -> "LatencyDigest":
-        """An independent digest with identical state and mode config."""
-        clone = LatencyDigest(
-            exact_threshold=self._exact_threshold,
-            relative_accuracy=self._relative_accuracy,
-            max_buckets=self._max_buckets,
-        )
-        if self._values is not None:
-            clone._values.frombytes(memoryview(self._values).cast("B"))
-        else:
-            clone._values = None
-            assert self._sketch is not None
-            clone._sketch = self._sketch.copy()
-        clone._min = self._min
-        clone._max = self._max
-        return clone
-
-    # ------------------------------------------------------------------
-    # Insertion
-    # ------------------------------------------------------------------
-
-    def add(self, value: float) -> None:
-        """Append one sample."""
-        if self._frozen:
-            raise MeasurementError(_READ_ONLY)
-        value = float(value)
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
-        if self._values is None:
-            assert self._sketch is not None
-            self._sketch.add(value)
-            return
-        self._values.append(value)
-        self._invalidate()
-        self._maybe_promote()
-
-    def extend(
-        self,
-        values: Union[np.ndarray, Sequence[float]],
-        bounds: Optional[Tuple[float, float]] = None,
-    ) -> None:
-        """Append a batch of samples (the batched engines' bulk path).
-
-        Accepts any float sequence; numpy arrays append through the
-        buffer protocol without a per-element Python loop.  ``bounds``
-        lets a caller that already knows the batch's ``(min, max)`` —
-        e.g. from one ``reduceat`` over many run boundaries — skip the
-        per-batch reductions; it must equal the true extrema.
-        """
-        if self._frozen:
-            raise MeasurementError(_READ_ONLY)
-        if len(values) == 0:
-            return
-        if isinstance(values, np.ndarray):
-            batch = np.ascontiguousarray(values, dtype=np.float64)
-        else:
-            batch = np.asarray(tuple(values), dtype=np.float64)
-        if bounds is None:
-            low = float(batch.min())
-            high = float(batch.max())
-        else:
-            low, high = bounds
-        if self._min is None or low < self._min:
-            self._min = low
-        if self._max is None or high > self._max:
-            self._max = high
-        if self._values is None:
-            assert self._sketch is not None
-            self._sketch.extend(batch)
-            return
-        self._values.frombytes(batch.tobytes())
-        self._invalidate()
-        self._maybe_promote()
-
-    def merge(self, other: "LatencyDigest") -> None:
-        """Fold another digest's samples into this one.
-
-        Works across modes: exact + exact stays exact (promoting only if
-        the combined count crosses the threshold), and any operand that
-        is already a sketch forces the result to sketch mode.  Because
-        promotion is canonical, every merge order over the same sample
-        multiset reaches the same state.
-
-        Raises:
-            MeasurementError: when the operands' mode configuration
-                (threshold or accuracy) differs — shards of one campaign
-                always agree, so a mismatch means mixed configs.
-        """
-        if self._frozen:
-            raise MeasurementError(_READ_ONLY)
-        if (
-            other._exact_threshold != self._exact_threshold
-            or other._relative_accuracy != self._relative_accuracy
-            or other._max_buckets != self._max_buckets
-        ):
-            raise MeasurementError(
-                "cannot merge digests with different sketch configuration "
-                f"(threshold {other._exact_threshold} vs "
-                f"{self._exact_threshold}, accuracy "
-                f"{other._relative_accuracy!r} vs "
-                f"{self._relative_accuracy!r}, max_buckets "
-                f"{other._max_buckets} vs {self._max_buckets})"
-            )
-        if other._min is not None:
-            if self._min is None or other._min < self._min:
-                self._min = other._min
-            assert other._max is not None
-            if self._max is None or other._max > self._max:
-                self._max = other._max
-        if other._values is not None:
-            if self._values is not None:
-                self._values.extend(other._values)
-                self._invalidate()
-                self._maybe_promote()
-            else:
-                assert self._sketch is not None
-                if len(other._values):
-                    self._sketch.extend(
-                        np.frombuffer(other._values, dtype=np.float64)
-                    )
-        else:
-            assert other._sketch is not None
-            if self._values is not None:
-                self._promote()
-            assert self._sketch is not None
-            self._sketch.merge(other._sketch)
-
-    def _invalidate(self) -> None:
-        self._sorted = None
-        self._sorted_array = None
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-
-    @property
-    def count(self) -> int:
-        """Number of samples (exact in both modes)."""
-        if self._values is not None:
-            return len(self._values)
-        assert self._sketch is not None
-        return self._sketch.count
-
-    def percentile(self, q: float) -> float:
-        """The q-th percentile of the samples.
-
-        Exact mode interpolates linearly over the sorted samples; sketch
-        mode answers within the sketch's relative error bound
-        (:attr:`LatencySketch.relative_error_bound`).
-
-        Raises:
-            AnalysisError: if empty, or ``q`` outside [0, 100].
-        """
-        if self._values is None:
-            assert self._sketch is not None
-            return self._sketch.quantile(q)
-        if not self._values:
-            raise AnalysisError("empty digest has no percentiles")
-        if len(self._values) < self._NUMPY_SORT_THRESHOLD:
-            if self._sorted is None:
-                self._sorted = sorted(self._values)
-            return percentile(self._sorted, q)
-        if not 0.0 <= q <= 100.0:
-            raise AnalysisError(f"percentile must be in [0, 100], got {q}")
-        if self._sorted_array is None:
-            # np.frombuffer views the array's buffer; np.sort copies, so
-            # the cached result is safe against later appends (which
-            # invalidate it anyway).
-            self._sorted_array = np.sort(
-                np.frombuffer(self._values, dtype=np.float64)
-            )
-        ordered = self._sorted_array
-        rank = (q / 100.0) * (len(ordered) - 1)
-        low = math.floor(rank)
-        high = math.ceil(rank)
-        if low == high:
-            return float(ordered[low])
-        fraction = rank - low
-        return float(ordered[low] * (1.0 - fraction) + ordered[high] * fraction)
-
-    def median(self) -> float:
-        """Shorthand for the 50th percentile."""
-        return self.percentile(50.0)
-
-    def minimum(self) -> float:
-        """Smallest sample — exact, O(1) (running minimum)."""
-        if self._min is None:
-            raise AnalysisError("empty digest has no minimum")
-        return self._min
-
-    def maximum(self) -> float:
-        """Largest sample — exact, O(1) (running maximum)."""
-        if self._max is None:
-            raise AnalysisError("empty digest has no maximum")
-        return self._max
-
-    def values(self) -> Tuple[float, ...]:
-        """All samples (copy) — the exact-mode API.
-
-        Raises:
-            MeasurementError: in sketch mode, which retains no samples.
-        """
-        if self._values is None:
-            raise MeasurementError(
-                "sketch-mode digest retains no raw samples; use "
-                "percentile()/minimum()/maximum() or the sketch itself"
-            )
-        return tuple(self._values)
-
-    def values_view(self) -> np.ndarray:
-        """Zero-copy read-only numpy view over the samples (exact mode).
-
-        The view aliases the digest's buffer: do not hold it across
-        later appends.  Read-only consumers (export packing, dataset
-        digests) use this instead of the tuple-copying :meth:`values`.
-
-        Raises:
-            MeasurementError: in sketch mode, which retains no samples.
-        """
-        if self._values is None:
-            raise MeasurementError(
-                "sketch-mode digest retains no raw samples; use "
-                "percentile()/minimum()/maximum() or the sketch itself"
-            )
-        # A view of a read-only buffer is read-only itself, which is
-        # cheaper than clearing the writeable flag on every call.
-        return np.frombuffer(memoryview(self._values).toreadonly(), np.float64)
 
 
 def _bytes(values: np.ndarray) -> memoryview:
@@ -645,9 +289,9 @@ class DayBlock:
         """Every cell's ``q``-th percentile; NaN for an empty cell.
 
         Exact cells interpolate over their canonically sorted slice with
-        :meth:`LatencyDigest.percentile`'s arithmetic, so each entry is
-        bit-identical to that per-cell query; promoted cells ask their
-        sketch.
+        :func:`repro.latency.sampling.percentile`'s arithmetic, so each
+        entry is bit-identical to that function over the cell's samples;
+        promoted cells ask their sketch.
 
         Raises:
             AnalysisError: if ``q`` is outside [0, 100].
@@ -752,6 +396,90 @@ class DayBlock:
 
 #: The block of a day without data.
 _EMPTY_BLOCK = DayBlock((), [0], (), [], [0], np.empty(0), {})
+
+
+class LatencyDigest:
+    """A read-only view of one :class:`DayBlock` cell.
+
+    :class:`GroupedDailyAggregates` hands these out
+    (:meth:`~GroupedDailyAggregates.digest`,
+    :meth:`~GroupedDailyAggregates.targets_for`,
+    :meth:`~GroupedDailyAggregates.iter_day`); appends go through the
+    aggregates' sinks.  Every answer reads the block's cached columns:
+    ``count``, ``minimum`` and ``maximum`` are exact in both modes, and
+    percentiles interpolate over the cell's canonically sorted samples
+    (:meth:`DayBlock.percentiles`) or, for a promoted cell, answer
+    within its sketch's relative error bound.
+    """
+
+    __slots__ = ("_block", "_cell")
+
+    def __init__(self, block: DayBlock, cell: int) -> None:
+        self._block = block
+        self._cell = cell
+
+    @property
+    def is_exact(self) -> bool:
+        """Whether the cell still retains its raw samples."""
+        return self._cell not in self._block.sketches
+
+    @property
+    def sketch(self) -> Optional[LatencySketch]:
+        """The cell's sketch once promoted (``None`` in exact mode)."""
+        return self._block.sketches.get(self._cell)
+
+    @property
+    def count(self) -> int:
+        """Number of samples (exact in both modes)."""
+        return int(self._block.counts()[self._cell])
+
+    def percentile(self, q: float) -> float:
+        """The q-th percentile of the samples.
+
+        Raises:
+            AnalysisError: if empty, or ``q`` outside [0, 100].
+        """
+        if not self.count:
+            raise AnalysisError("empty digest has no percentiles")
+        return float(self._block.percentiles(q)[self._cell])
+
+    def median(self) -> float:
+        """Shorthand for the 50th percentile."""
+        return self.percentile(50.0)
+
+    def minimum(self) -> float:
+        """Smallest sample (exact in both modes)."""
+        if not self.count:
+            raise AnalysisError("empty digest has no minimum")
+        return float(self._block.extrema()[0][self._cell])
+
+    def maximum(self) -> float:
+        """Largest sample (exact in both modes)."""
+        if not self.count:
+            raise AnalysisError("empty digest has no maximum")
+        return float(self._block.extrema()[1][self._cell])
+
+    def values_view(self) -> np.ndarray:
+        """Read-only numpy view over the cell's samples, in arrival order.
+
+        Raises:
+            MeasurementError: in sketch mode, which retains no samples.
+        """
+        if not self.is_exact:
+            raise MeasurementError(
+                "sketch-mode digest retains no raw samples; use "
+                "percentile()/minimum()/maximum() or the sketch itself"
+            )
+        bounds = self._block.bounds
+        return self._block.values[bounds[self._cell] : bounds[self._cell + 1]]
+
+    def values(self) -> Tuple[float, ...]:
+        """The cell's samples as a tuple, in arrival order.
+
+        Raises:
+            MeasurementError: in sketch mode, which retains no samples.
+        """
+        return tuple(self.values_view().tolist())
 
 
 class _OpenDay:
@@ -925,10 +653,11 @@ class GroupedDailyAggregates:
     :class:`LatencyDigest` views of its cells on demand.
 
     ``exact_threshold``/``relative_accuracy`` configure the two-mode
-    behavior of every cell (see :class:`LatencyDigest`): a cell whose
+    behavior of every cell (see the module docstring): a cell whose
     retained count passes the threshold promotes into a sketch when the
     append happens, so sketch-mode memory stays bounded.  The defaults
-    keep everything exact.
+    keep everything exact.  This class is the only code that appends
+    to, promotes or merges a cell.
     """
 
     def __init__(
@@ -1023,29 +752,27 @@ class GroupedDailyAggregates:
     def observe_runs(
         self,
         day: int,
-        entries: Sequence[Tuple[str, str, int, int, float, float]],
+        entries: Sequence[Tuple[str, str, int, int]],
         values: np.ndarray,
     ) -> None:
         """Add many (group, target) runs sliced from one value array.
 
         The chunk-scale counterpart of :meth:`observe_many`: ``values``
         is one float64 array holding every run back to back, and each
-        entry ``(group, target_id, start, stop, low, high)`` appends
-        ``values[start:stop]`` to that (day, group, target) cell.  The
-        run extrema ``(low, high)`` are accepted for the engines' call
-        shape; the block computes its own.  In exact mode the runs join
-        the day's pending column in one gather, so a run costs one cell
-        lookup.
+        entry ``(group, target_id, start, stop)`` appends
+        ``values[start:stop]`` to that (day, group, target) cell.  In
+        exact mode the runs join the day's pending column in one gather,
+        so a run costs one cell lookup.
         """
         if not entries:
             return
         open_day = self._open.get(day) or self._reopen(day)
-        cell = open_day.cell
+        groups, targets, starts, stops = zip(*entries)
         self._append(
             open_day,
-            [cell(entry[0], entry[1]) for entry in entries],
-            [entry[2] for entry in entries],
-            [entry[3] for entry in entries],
+            list(map(open_day.cell, groups, targets)),
+            starts,
+            stops,
             np.ascontiguousarray(values, dtype=np.float64),
         )
 
@@ -1168,30 +895,6 @@ class GroupedDailyAggregates:
         else:
             self.add_block(day, block)
 
-    def _view(self, block: DayBlock, cell: int) -> LatencyDigest:
-        """A read-only :class:`LatencyDigest` of one block cell."""
-        digest = LatencyDigest.__new__(LatencyDigest)
-        sketch = block.sketches.get(cell)
-        digest._values = (
-            None
-            if sketch is not None
-            else _bytes(
-                block.values[block.bounds[cell] : block.bounds[cell + 1]]
-            ).cast("d")
-        )
-        digest._sorted = None
-        digest._sorted_array = None
-        empty = digest._values is not None and not len(digest._values)
-        lows, highs = block.extrema()
-        digest._min = None if empty else float(lows[cell])
-        digest._max = None if empty else float(highs[cell])
-        digest._exact_threshold = self._exact_threshold
-        digest._relative_accuracy = self._relative_accuracy
-        digest._max_buckets = self._max_buckets
-        digest._sketch = sketch
-        digest._frozen = True
-        return digest
-
     @property
     def days(self) -> Tuple[int, ...]:
         """Days with any data, ascending."""
@@ -1205,13 +908,13 @@ class GroupedDailyAggregates:
         """A read-only view of one (day, group, target) cell, or ``None``."""
         block = self.block(day)
         cell = block.find(group, target_id)
-        return None if cell is None else self._view(block, cell)
+        return None if cell is None else LatencyDigest(block, cell)
 
     def targets_for(self, day: int, group: str) -> Dict[str, LatencyDigest]:
         """target_id → read-only digest view for one group-day."""
         block = self.block(day)
         return {
-            block.targets[block.target_codes[cell]]: self._view(block, cell)
+            block.targets[block.target_codes[cell]]: LatencyDigest(block, cell)
             for cell in block.group_cells(group)
         }
 
@@ -1219,7 +922,7 @@ class GroupedDailyAggregates:
         """Iterate (group, target, read-only digest view) for a day."""
         block = self.block(day)
         for cell, (group, target_id) in enumerate(zip(*block.names())):
-            yield group, target_id, self._view(block, cell)
+            yield group, target_id, LatencyDigest(block, cell)
 
     def sketch_stats(self) -> Tuple[int, int, int, int, int]:
         """Compression accounting: ``(exact_digests, sketch_digests,

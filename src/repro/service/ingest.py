@@ -44,7 +44,7 @@ from repro.core.predictor import PredictorConfig
 from repro.errors import ConfigurationError
 from repro.faults.inject import InjectedTransientError
 from repro.faults.plan import FaultPlan, record_faults
-from repro.identity import IDENTITY, RUN, config_digest
+from repro.identity import IDENTITY, RUN, service_context
 from repro.measurement.sketch import (
     DEFAULT_MAX_BUCKETS,
     DEFAULT_RELATIVE_ACCURACY,
@@ -245,7 +245,7 @@ class LiveService:
         # What a checkpoint must match to apply: the data settings, the
         # calendar and the stream source.
         self._identity = {
-            "config_hash": config_digest(config),
+            "config_hash": service_context(config).config_hash,
             "num_days": num_days,
             "source": source_fingerprint,
         }

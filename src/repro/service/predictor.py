@@ -3,9 +3,10 @@
 The online predictor owns no scoring logic.  At every tick it hands the
 window's per-day aggregate buckets to the batch
 :class:`repro.core.predictor.HistoryBasedPredictor` — the same class,
-the same ``choose_target`` core, the same 25th-percentile/≥20-sample
-rule — so an online prediction at clock tick *d* is *definitionally*
-the batch prediction over the same window.  What this module adds is
+the same ``predict_day`` pass (tested against the per-group
+``choose_target`` rule), the same 25th-percentile/≥20-sample rule — so
+an online prediction at clock tick *d* is *definitionally* the batch
+prediction over the same window.  What this module adds is
 bookkeeping: accumulating per-day prediction maps as days close,
 serializing them into service checkpoints (float ``repr`` round-trips
 exactly, so a resumed run's restored predictions hash identically),

@@ -42,8 +42,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigurationError, MeasurementError
 from repro.measurement.aggregate import GroupedDailyAggregates
 from repro.measurement.canonical import CanonicalHash, aggregate_day_parts
@@ -143,12 +141,7 @@ class PredictionWindow:
         resolvers = {} if bucket is None else bucket[1]
         learned: Dict[str, str] = {}
         entries = []
-        starts = block.bounds[:-1]
-        for (client_key, ldns_id, target_id, start, stop), low, high in zip(
-            block.runs(),
-            np.minimum.reduceat(block.rtts, starts).tolist(),
-            np.maximum.reduceat(block.rtts, starts).tolist(),
-        ):
+        for client_key, ldns_id, target_id, start, stop in block.runs():
             known = resolvers.get(client_key)
             if known is None:
                 known = learned.setdefault(client_key, ldns_id)
@@ -157,7 +150,7 @@ class PredictionWindow:
                     f"day {day}: /24 {client_key!r} arrived via "
                     f"resolver {ldns_id!r} after {known!r}"
                 )
-            entries.append((client_key, target_id, start, stop, low, high))
+            entries.append((client_key, target_id, start, stop))
         if bucket is None:
             bucket = self._new_bucket()
             self._days[day] = bucket

@@ -1979,34 +1979,28 @@ class _MatrixBeaconEngine:
         # overwhelmingly common case), else per-span admit_matrix calls
         # at the spans' day-level beacon rows, the reference engine's
         # quarantine coordinates.
-        admits: Optional[List[Optional[np.ndarray]]] = None
+        admitted: Optional[np.ndarray] = None
         if has_dirty or not self._gate.admit_bulk_valid(rtts):
-            admits = []
+            admitted = np.ones(rtts.shape, dtype=bool)
             for span_index in range(len(span_member)):
                 base_row = int(row_starts[span_index])
                 length = int(span_len[span_index])
                 member = int(members[span_member[span_index]])
-                admits.append(
-                    self._gate.admit_matrix(
-                        day,
-                        group.keys[member],
-                        rtts[base_row:base_row + length],
-                        int(span_start[span_index]),
-                    )
+                admit = self._gate.admit_matrix(
+                    day,
+                    group.keys[member],
+                    rtts[base_row:base_row + length],
+                    int(span_start[span_index]),
                 )
+                if admit is not None:
+                    admitted[base_row:base_row + length] = admit
 
-        if admits is None:
-            self._sink_chunk_clean(
-                day, group, members, span_member, span_len, row_starts,
-                row_member, cidx, regions, pick_indices, rtts,
-            )
-        else:
-            self._sink_chunk_masked(
-                day, group, members, span_member, span_len, row_starts,
-                row_member, cidx, regions, admits, pick_indices, rtts,
-            )
+        self._sink_chunk(
+            day, group, members, span_member, span_len, row_starts,
+            row_member, cidx, regions, admitted, pick_indices, rtts,
+        )
 
-    def _sink_chunk_clean(
+    def _sink_chunk(
         self,
         day: int,
         group: _MatrixGroup,
@@ -2017,202 +2011,113 @@ class _MatrixBeaconEngine:
         row_member: np.ndarray,
         cidx: np.ndarray,
         regions: np.ndarray,
+        admitted: Optional[np.ndarray],
         pick_indices: np.ndarray,
         rtts: np.ndarray,
     ) -> None:
-        """Sink an all-admitted chunk with run-grouped columnar extends.
+        """Sink a chunk with run-grouped columnar appends.
 
         Each (day, /24, target) still receives exactly the multiset of
         values the per-client oracle produces; what changes is the call
         shape — runs found by one argsort per chunk instead of a boolean
-        mask per (client, pool position).
+        mask per (client, pool position).  ``admitted`` is the gate's
+        ``(rows, targets)`` admit mask, ``None`` when it admitted the
+        whole chunk; it drops quarantined cells from the anycast and
+        closest runs, from the picks' cell keys and from the
+        request-diff rows, and a run it empties adds no cell.
         """
         ecs = self._ecs
         picks = group.picks
         pool_size = group.pool_size
         n_rows = rtts.shape[0]
-        self.backend.count_joined_bulk(n_rows * (2 + picks))
+        clients = cidx[row_member]
+        row_regions = regions[row_member]
+        anycast = rtts[:, 0]
+        if admitted is None:
+            self.backend.count_joined_bulk(n_rows * (2 + picks))
+            best = rtts[:, 1:].min(axis=1)
+        else:
+            self.backend.count_joined_bulk(int(admitted.sum()))
+            best = np.where(admitted[:, 1:], rtts[:, 1:], np.inf).min(axis=1)
+            row_ok = admitted[:, 0] & admitted[:, 1:].any(axis=1)
+            clients, row_regions, anycast, best = (
+                clients[row_ok], row_regions[row_ok], anycast[row_ok],
+                best[row_ok],
+            )
         self._request_diffs.observe_columns(
-            day,
-            cidx[row_member],
-            regions[row_member],
-            rtts[:, 0],
-            rtts[:, 1:].min(axis=1),
+            day, clients, row_regions, anycast, best
         )
 
         # Anycast + closest per client-day: each span IS one client-day
-        # segment, already contiguous.  Run extrema come from one
-        # reduceat over the span boundaries instead of two reductions
-        # per extend.
+        # segment, already contiguous.  Both target columns ride in one
+        # buffer, anycast first, so the sink takes one observe_runs call
+        # per chunk.
         keys = group.keys
         closests = group.closests
         member_slot = group.ldns_slot
         span_members = members[span_member].tolist()
-        anycast_col = np.ascontiguousarray(rtts[:, 0])
-        closest_col = np.ascontiguousarray(rtts[:, 1])
-        # Both target columns ride in one buffer so the sink takes one
-        # observe_runs call per chunk; closest-column entries index past
-        # the anycast column.
-        ecs_vals = np.concatenate((anycast_col, closest_col))
-        low0 = np.minimum.reduceat(anycast_col, row_starts).tolist()
-        high0 = np.maximum.reduceat(anycast_col, row_starts).tolist()
-        low1 = np.minimum.reduceat(closest_col, row_starts).tolist()
-        high1 = np.maximum.reduceat(closest_col, row_starts).tolist()
-        span_bases = row_starts.tolist()
-        span_lens = span_len.tolist()
+        n_spans = len(span_members)
+        ecs_vals = rtts[:, :2].T.reshape(-1)
+        if admitted is None:
+            run_lens = np.concatenate((span_len, span_len))
+        else:
+            kept = admitted[:, :2].T.reshape(-1)
+            ecs_vals = ecs_vals[kept]
+            run_lens = np.add.reduceat(
+                kept, np.concatenate((row_starts, n_rows + row_starts)),
+                dtype=np.int64,
+            )
+        edges = np.concatenate(([0], np.cumsum(run_lens))).tolist()
         entries = []
         add = entries.append
         for span_index, member in enumerate(span_members):
-            base_row = span_bases[span_index]
-            end_row = base_row + span_lens[span_index]
             key = keys[member]
-            add((
-                key,
-                ANYCAST_TARGET,
-                base_row,
-                end_row,
-                low0[span_index],
-                high0[span_index],
-            ))
-            add((
-                key,
-                closests[member_slot[member]],
-                n_rows + base_row,
-                n_rows + end_row,
-                low1[span_index],
-                high1[span_index],
-            ))
+            start, stop = edges[span_index], edges[span_index + 1]
+            if stop > start:
+                add((key, ANYCAST_TARGET, start, stop))
+            start = edges[n_spans + span_index]
+            stop = edges[n_spans + span_index + 1]
+            if stop > start:
+                add((key, closests[member_slot[member]], start, stop))
         ecs.observe_runs(day, entries, ecs_vals)
 
         if not picks:
             return
         # Random-pick cells, keyed (client-day, pool index): one sort
         # turns the chunk's pick columns into per-cell runs.
-        pick_vals = np.ascontiguousarray(rtts[:, 2:]).reshape(-1)
+        pick_vals = rtts[:, 2:].reshape(-1)
         cell_keys = (
             np.repeat(row_member.astype(np.int64), picks) * pool_size
             + pick_indices.reshape(-1).astype(np.int64)
         )
+        if admitted is not None:
+            kept = admitted[:, 2:].reshape(-1)
+            pick_vals = pick_vals[kept]
+            cell_keys = cell_keys[kept]
+            if not cell_keys.size:
+                return
         order = np.argsort(cell_keys, kind="stable")
         sorted_keys = cell_keys[order]
         sorted_vals = pick_vals[order]
         run_bounds = np.nonzero(np.diff(sorted_keys))[0] + 1
         starts = np.concatenate(([0], run_bounds))
         ends = np.concatenate((run_bounds, [sorted_keys.shape[0]]))
-        run_lows = np.minimum.reduceat(sorted_vals, starts).tolist()
-        run_highs = np.maximum.reduceat(sorted_vals, starts).tolist()
         run_keys = sorted_keys[starts].tolist()
         pools = group.pools
         entries = []
         add = entries.append
-        for run, (start, end) in enumerate(
-            zip(starts.tolist(), ends.tolist())
+        for run_key, start, end in zip(
+            run_keys, starts.tolist(), ends.tolist()
         ):
-            staged, pool_index = divmod(run_keys[run], pool_size)
+            staged, pool_index = divmod(run_key, pool_size)
             member = int(members[staged])
             add((
                 keys[member],
                 pools[member_slot[member]][pool_index],
                 start,
                 end,
-                run_lows[run],
-                run_highs[run],
             ))
         ecs.observe_runs(day, entries, sorted_vals)
-
-    def _sink_chunk_masked(
-        self,
-        day: int,
-        group: _MatrixGroup,
-        members: np.ndarray,
-        span_member: np.ndarray,
-        span_len: np.ndarray,
-        row_starts: np.ndarray,
-        row_member: np.ndarray,
-        cidx: np.ndarray,
-        regions: np.ndarray,
-        admits: List[Optional[np.ndarray]],
-        pick_indices: np.ndarray,
-        rtts: np.ndarray,
-    ) -> None:
-        """Sink a chunk with quarantined cells, span by span.
-
-        The slow path — it only runs for chunks that actually contain
-        dirty or invalid records, so it keeps the straightforward
-        per-span masking the oracle uses.
-        """
-        ecs = self._ecs
-        picks = group.picks
-        targets = 2 + picks
-        joined = 0
-        diff_pieces: List[Tuple[np.ndarray, ...]] = []
-        for span_index in range(len(span_member)):
-            base_row = int(row_starts[span_index])
-            length = int(span_len[span_index])
-            member = int(members[span_member[span_index]])
-            key = group.keys[member]
-            slot = int(group.ldns_slot[member])
-            view = rtts[base_row:base_row + length]
-            admit = admits[span_index]
-            if admit is None:
-                anycast_col = view[:, 0]
-                closest_col = view[:, 1]
-            else:
-                anycast_col = view[admit[:, 0], 0]
-                closest_col = view[admit[:, 1], 1]
-            if anycast_col.size:
-                ecs.observe_many(day, key, ANYCAST_TARGET, anycast_col)
-            if closest_col.size:
-                ecs.observe_many(day, key, group.closests[slot], closest_col)
-            if picks:
-                pool = group.pools[slot]
-                span_picks = pick_indices[base_row:base_row + length]
-                pick_rtts = view[:, 2:]
-                pick_ok = None if admit is None else admit[:, 2:]
-                for pool_index in range(group.pool_size):
-                    selected = span_picks == pool_index
-                    if pick_ok is not None:
-                        selected &= pick_ok
-                    values = pick_rtts[selected]
-                    if values.size:
-                        ecs.observe_many(day, key, pool[pool_index], values)
-            span_rows = slice(base_row, base_row + length)
-            if admit is None:
-                joined += length * targets
-                diff_pieces.append(
-                    (
-                        cidx[row_member[span_rows]],
-                        regions[row_member[span_rows]],
-                        view[:, 0],
-                        view[:, 1:].min(axis=1),
-                    )
-                )
-            else:
-                joined += int(admit.sum())
-                row_ok = admit[:, 0] & admit[:, 1:].any(axis=1)
-                if not row_ok.any():
-                    continue
-                best = np.where(
-                    admit[:, 1:], view[:, 1:], np.inf
-                ).min(axis=1)[row_ok]
-                diff_pieces.append(
-                    (
-                        cidx[row_member[span_rows]][row_ok],
-                        regions[row_member[span_rows]][row_ok],
-                        view[row_ok, 0],
-                        best,
-                    )
-                )
-
-        if diff_pieces:
-            self._request_diffs.observe_columns(
-                day,
-                np.concatenate([p[0] for p in diff_pieces]),
-                np.concatenate([p[1] for p in diff_pieces]),
-                np.concatenate([p[2] for p in diff_pieces]),
-                np.concatenate([p[3] for p in diff_pieces]),
-            )
-        self.backend.count_joined_bulk(joined)
 
 
 class CampaignRunner:

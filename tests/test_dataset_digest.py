@@ -157,10 +157,7 @@ def _aggregates(grouping: str, digests) -> GroupedDailyAggregates:
     aggregates = GroupedDailyAggregates(grouping)
     for day, group, target, samples in digests:
         values = np.asarray(samples, dtype=np.float64)
-        low, high = (values.min(), values.max()) if samples else (0.0, 0.0)
-        aggregates.observe_runs(
-            day, [(group, target, 0, len(values), low, high)], values
-        )
+        aggregates.observe_runs(day, [(group, target, 0, len(values))], values)
     return aggregates
 
 

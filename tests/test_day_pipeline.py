@@ -15,7 +15,8 @@
   every cell, the cell order and each cell's sample order.
 * **Chunking.**  The matrix engine's digest and quarantine total do not
   depend on how many rows it synthesizes per chunk: five pinned sizes,
-  plus a property over any size in [1, 65536].
+  plus a property over any size in [1, 65536], where chunk edges meet
+  quarantined cells on the dirty leg.
 """
 
 import hashlib
@@ -191,7 +192,7 @@ def test_any_matrix_chunk_size_keeps_digest(engine_scenario, chunk_rows):
     # see it.
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(campaign, "_MATRIX_CHUNK_ROWS", chunk_rows)
-        for leg in ("plain", "sketch"):
+        for leg in ("plain", "sketch", "dirty"):
             dataset, runner = _run(engine_scenario, "matrix", LEGS[leg])
             assert (
                 dataset.digest(), runner.quarantine.total

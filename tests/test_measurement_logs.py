@@ -6,11 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AnalysisError, MeasurementError
-from repro.measurement.aggregate import (
-    GroupedDailyAggregates,
-    LatencyDigest,
-    RequestDiffLog,
-)
+from repro.measurement.aggregate import GroupedDailyAggregates, RequestDiffLog
 from repro.measurement.logs import (
     HttpLogEntry,
     PassiveLog,
@@ -19,28 +15,39 @@ from repro.measurement.logs import (
 )
 
 
+def _cell(values):
+    """A one-cell store holding ``values``, and its read-only view."""
+    sink = GroupedDailyAggregates("ecs")
+    sink.observe_many(0, "g", "anycast", values)
+    return sink, sink.digest(0, "g", "anycast")
+
+
 class TestLatencyDigest:
     def test_count_and_percentiles(self):
-        digest = LatencyDigest([5.0, 1.0, 3.0])
+        _, digest = _cell([5.0, 1.0, 3.0])
         assert digest.count == 3
         assert digest.median() == 3.0
         assert digest.minimum() == 1.0
 
     def test_add_invalidates_sorted_view(self):
-        digest = LatencyDigest([10.0])
+        sink, digest = _cell([10.0])
         assert digest.median() == 10.0
-        digest.add(0.0)
-        assert digest.median() == 5.0
+        sink.observe(0, "g", "anycast", 0.0)
+        assert sink.digest(0, "g", "anycast").median() == 5.0
 
     def test_merge(self):
-        a = LatencyDigest([1.0, 2.0])
-        b = LatencyDigest([3.0, 4.0])
+        a, _ = _cell([1.0, 2.0])
+        b, _ = _cell([3.0, 4.0])
         a.merge(b)
-        assert a.count == 4
-        assert a.values() == (1.0, 2.0, 3.0, 4.0)
+        assert a.digest(0, "g", "anycast").count == 4
+        assert a.digest(0, "g", "anycast").values() == (1.0, 2.0, 3.0, 4.0)
 
     def test_empty_errors(self):
-        digest = LatencyDigest()
+        # An empty run still opens its cell.
+        sink = GroupedDailyAggregates("ecs")
+        sink.observe_runs(0, [("g", "anycast", 0, 0)], np.empty(0))
+        digest = sink.digest(0, "g", "anycast")
+        assert digest.count == 0
         with pytest.raises(AnalysisError):
             digest.percentile(50)
         with pytest.raises(AnalysisError):
@@ -54,7 +61,7 @@ class TestLatencyDigest:
     )
     @settings(max_examples=50)
     def test_percentiles_match_numpy(self, values):
-        digest = LatencyDigest(values)
+        _, digest = _cell(values)
         for q in (25.0, 50.0, 75.0):
             assert digest.percentile(q) == pytest.approx(
                 float(np.percentile(values, q)), rel=1e-9, abs=1e-9

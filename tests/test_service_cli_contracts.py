@@ -21,6 +21,7 @@ them.
 """
 
 import json
+import logging
 import shutil
 
 import pytest
@@ -181,3 +182,38 @@ def test_checkpoint_resumes_only_under_its_record_faults(
         same["digests"], dirty["digests"]
     )
     assert dirty["digests"] != unpaced["digests"]
+
+
+def test_replay_logs_and_telemetry_carry_the_service_identity(
+    out_dir, campaign, capsys
+):
+    def replay(name, *flags):
+        telemetry = out_dir / f"service-identity-{name}.telemetry.json"
+        assert main([
+            "replay", campaign, "--seed", "7",
+            "--telemetry-out", str(telemetry), *flags,
+        ]) == 0
+        return _json(telemetry)["context"]["config_hash"]
+
+    capsys.readouterr()  # drop what the fixtures printed
+    try:
+        logged = replay(
+            "logged", "--log-format", "json", "--log-level", "debug",
+            "--checkpoint-dir", str(out_dir / "service-identity-ckpt"),
+        )
+        lines = [
+            json.loads(line)
+            for line in capsys.readouterr().err.splitlines()
+            if line.startswith("{")
+        ]
+    finally:
+        root = logging.getLogger("repro")
+        for handler in list(root.handlers):
+            root.removeHandler(handler)
+        root.setLevel(logging.NOTSET)
+    assert logged
+    assert lines
+    assert {line["config_hash"] for line in lines} == {logged}
+    # A data setting moves the identity; a run setting does not.
+    assert replay("sketch", "--sketch-threshold", "32") != logged
+    assert replay("spill", "--checkpoint-every", "1000") == logged

@@ -29,11 +29,7 @@ from repro.errors import MeasurementError
 from repro.faults.inject import InjectedCrashError
 from repro.faults.plan import FaultPlan
 from repro.clients.population import ClientPopulationConfig
-from repro.measurement.aggregate import (
-    GroupedDailyAggregates,
-    LatencyDigest,
-    RequestDiffLog,
-)
+from repro.measurement.aggregate import GroupedDailyAggregates, RequestDiffLog
 from repro.measurement.export import save_dataset
 from repro.measurement.logs import PassiveLog
 from repro.service import (
@@ -143,13 +139,14 @@ class TestSketchOracle:
                 # Rebuild the sketched digest over the same multiset:
                 # canonical promotion makes its state (and its error
                 # bound) a pure function of the samples.
-                rebuilt = LatencyDigest(
+                store = GroupedDailyAggregates(
+                    "ecs",
                     exact_threshold=SKETCH_THRESHOLD,
                     relative_accuracy=SKETCH_ACCURACY,
                 )
                 ordered = sorted(digest.values_view().tolist())
-                for value in ordered:
-                    rebuilt.add(value)
+                store.observe_many(day, group, online.target_id, ordered)
+                rebuilt = store.digest(day, group, online.target_id)
                 if rebuilt.is_exact:
                     assert online.metric_ms == digest.percentile(
                         config.metric_percentile

@@ -13,11 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import MeasurementError
-from repro.measurement.aggregate import (
-    GroupedDailyAggregates,
-    LatencyDigest,
-    RequestDiffLog,
-)
+from repro.measurement.aggregate import GroupedDailyAggregates, RequestDiffLog
 from repro.measurement.export import (
     load_dataset,
     recover_dataset,
@@ -33,24 +29,31 @@ from repro.simulation.transport import (
 
 
 # ----------------------------------------------------------------------
-# LatencyDigest: two modes
+# Store cells: two modes
 # ----------------------------------------------------------------------
 
 
+def _cell(values, **config):
+    """A one-cell store holding ``values``, and its read-only view."""
+    sink = GroupedDailyAggregates("ecs", **config)
+    sink.observe_many(0, "g", "t", values)
+    return sink, sink.digest(0, "g", "t")
+
+
 def test_default_digest_stays_exact():
-    digest = LatencyDigest()
-    digest.extend(np.arange(10_000, dtype=np.float64))
+    _, digest = _cell(np.arange(10_000, dtype=np.float64))
     assert digest.is_exact
     assert digest.sketch is None
     assert digest.count == 10_000
 
 
 def test_promotion_at_threshold():
-    digest = LatencyDigest(exact_threshold=4)
+    sink = GroupedDailyAggregates("ecs", exact_threshold=4)
     for value in (1.0, 2.0, 3.0, 4.0):
-        digest.add(value)
-    assert digest.is_exact
-    digest.add(5.0)
+        sink.observe(0, "g", "t", value)
+    assert sink.digest(0, "g", "t").is_exact
+    sink.observe(0, "g", "t", 5.0)
+    digest = sink.digest(0, "g", "t")
     assert not digest.is_exact
     assert digest.sketch is not None
     assert digest.count == 5
@@ -62,45 +65,39 @@ def test_promotion_at_threshold():
 
 
 def test_promotion_is_canonical():
-    """A digest promoted early, late, or assembled by merge reaches
+    """A cell promoted early, late, or assembled by merge reaches
     bit-identical sketch state — the property shard parity rests on."""
     values = [float(v) for v in range(1, 200)]
 
-    early = LatencyDigest(exact_threshold=1)
-    early.extend(values)
+    _, early = _cell(values, exact_threshold=1)
+    _, late = _cell(values, exact_threshold=150)
 
-    late = LatencyDigest(exact_threshold=150)
-    late.extend(values)
-
-    first = LatencyDigest(exact_threshold=1)
-    first.extend(values[:57])
-    second = LatencyDigest(exact_threshold=1)
-    second.extend(values[57:])
+    first, _ = _cell(values[:57], exact_threshold=1)
+    second, _ = _cell(values[57:], exact_threshold=1)
     first.merge(second)
 
-    mixed = LatencyDigest(exact_threshold=100)
-    mixed.extend(values[:10])  # still exact
-    promoted = LatencyDigest(exact_threshold=100)
-    promoted.extend(values[10:])  # 189 values: already a sketch
-    assert not promoted.is_exact
+    mixed, still_exact = _cell(values[:10], exact_threshold=100)
+    assert still_exact.is_exact
+    promoted, already = _cell(values[10:], exact_threshold=100)
+    assert not already.is_exact  # 189 values: already a sketch
     mixed.merge(promoted)
 
-    digests = {d.sketch.digest() for d in (early, late, first, mixed)}
+    merged = (sink.digest(0, "g", "t") for sink in (first, mixed))
+    digests = {d.sketch.digest() for d in (early, late, *merged)}
     assert len(digests) == 1
 
 
 def test_exact_percentiles_unchanged_below_threshold():
     values = [9.0, 1.0, 5.0, 3.0]
-    plain = LatencyDigest(values)
-    gated = LatencyDigest(values, exact_threshold=64)
+    _, plain = _cell(values)
+    _, gated = _cell(values, exact_threshold=64)
     for q in (0, 25, 50, 75, 100):
         assert gated.percentile(q) == plain.percentile(q)
 
 
 def test_sketch_percentile_within_bound():
-    digest = LatencyDigest(exact_threshold=8, relative_accuracy=0.01)
     values = np.linspace(10.0, 1000.0, 5000)
-    digest.extend(values)
+    _, digest = _cell(values, exact_threshold=8, relative_accuracy=0.01)
     assert not digest.is_exact
     bound = digest.sketch.relative_error_bound
     for q in (5.0, 50.0, 95.0):
@@ -109,11 +106,11 @@ def test_sketch_percentile_within_bound():
 
 
 def test_digest_merge_config_mismatch_rejected():
-    a = LatencyDigest(exact_threshold=4)
+    a = GroupedDailyAggregates("ecs", exact_threshold=4)
     with pytest.raises(MeasurementError):
-        a.merge(LatencyDigest(exact_threshold=8))
+        a.merge(GroupedDailyAggregates("ecs", exact_threshold=8))
     with pytest.raises(MeasurementError):
-        a.merge(LatencyDigest(exact_threshold=4, max_buckets=16))
+        a.merge(GroupedDailyAggregates("ecs", exact_threshold=4, max_buckets=16))
 
 
 # ----------------------------------------------------------------------

@@ -21,12 +21,7 @@ from repro.errors import AnalysisError, ConfigurationError, MeasurementError
 from repro.analysis.anycast_perf import anycast_penalty_ccdf
 from repro.analysis.poor_paths import poor_path_prevalence
 from repro.clients.population import ClientPopulationConfig
-from repro.latency.sampling import percentile
-from repro.measurement.aggregate import (
-    GroupedDailyAggregates,
-    LatencyDigest,
-    RequestDiffLog,
-)
+from repro.measurement.aggregate import GroupedDailyAggregates, RequestDiffLog
 from repro.simulation.campaign import CampaignConfig, CampaignRunner
 from repro.simulation.clock import SimulationCalendar
 from repro.simulation.parallel import ParallelCampaignRunner
@@ -284,52 +279,31 @@ class TestEngineSelection:
 
 
 class TestLatencyDigestBulk:
-    def test_extend_matches_repeated_add(self):
-        values = [5.0, 1.0, 9.0, 3.0]
-        one = LatencyDigest()
-        other = LatencyDigest()
-        for value in values:
-            one.add(value)
-        other.extend(np.array(values))
-        assert other.values() == one.values()
-        assert other.median() == one.median()
-
     def test_extend_accepts_plain_sequences(self):
-        digest = LatencyDigest()
-        digest.extend([2.0, 4.0])
-        digest.extend((6.0,))
-        assert digest.values() == (2.0, 4.0, 6.0)
-
-    def test_numpy_percentile_path_matches_reference_percentile(self):
-        rng = np.random.default_rng(7)
-        values = rng.lognormal(3.0, 1.0, 500)
-        digest = LatencyDigest()
-        digest.extend(values)
-        assert digest.count >= LatencyDigest._NUMPY_SORT_THRESHOLD
-        ordered = sorted(values)
-        for q in (0.0, 25.0, 50.0, 73.5, 100.0):
-            assert digest.percentile(q) == pytest.approx(
-                percentile(ordered, q)
-            )
-
-    def test_sorted_cache_reused_and_invalidated(self):
-        digest = LatencyDigest()
-        digest.extend(np.arange(100, dtype=float))
-        assert digest.percentile(50.0) == pytest.approx(49.5)
-        assert digest._sorted_array is not None
-        digest.extend(np.array([1000.0]))
-        assert digest._sorted_array is None
-        assert digest.percentile(100.0) == 1000.0
+        aggregate = GroupedDailyAggregates("ecs")
+        aggregate.observe_many(0, "g", "anycast", [2.0, 4.0])
+        aggregate.observe_many(0, "g", "anycast", (6.0,))
+        assert aggregate.digest(0, "g", "anycast").values() == (2.0, 4.0, 6.0)
 
     def test_percentile_bounds_checked_on_numpy_path(self):
-        digest = LatencyDigest()
-        digest.extend(np.arange(100, dtype=float))
-        with pytest.raises(AnalysisError):
-            digest.percentile(101.0)
+        aggregate = GroupedDailyAggregates("ecs")
+        aggregate.observe_many(0, "g", "anycast", np.arange(100, dtype=float))
+        digest = aggregate.digest(0, "g", "anycast")
+        for q in (-1.0, 101.0):
+            with pytest.raises(AnalysisError):
+                digest.percentile(q)
 
     def test_empty_digest_still_raises(self):
+        # The block's table holds NaN for an empty cell beside full ones;
+        # the view raises instead of returning it.
+        aggregate = GroupedDailyAggregates("ecs")
+        aggregate.observe_runs(
+            0,
+            [("g", "anycast", 0, 2), ("g", "fe-a", 2, 2), ("g", "fe-b", 2, 3)],
+            np.array([1.0, 2.0, 3.0]),
+        )
         with pytest.raises(AnalysisError):
-            LatencyDigest().percentile(50.0)
+            aggregate.digest(0, "g", "fe-a").percentile(50.0)
 
 
 class TestBulkSinks:
