@@ -23,8 +23,8 @@ from repro.analysis.stats import (
     linear_grid,
     log2_grid,
 )
-from repro.cdn.frontend import FrontEnd, nearest_frontends
-from repro.geo.coords import haversine_km
+from repro.cdn.frontend import FrontEnd, rank_frontends
+from repro.geo.coords import GeoPoint, haversine_km
 from repro.geo.geolocation import GeolocationDatabase
 from repro.simulation.dataset import StudyDataset
 
@@ -162,23 +162,29 @@ def anycast_distance_cdf(
             counts as zero (geolocation is not meter-accurate).
     """
     frontends_by_id = {fe.frontend_id: fe for fe in frontends}
-    frontends_tuple = tuple(frontends)
 
-    to_frontend: List[float] = []
-    past_closest: List[float] = []
+    served: List[FrontEnd] = []
+    locations: List[GeoPoint] = []
     weights: List[float] = []
     for client_key, counts in dataset.passive.iter_day(day):
         frontend_id = max(counts.items(), key=lambda kv: (kv[1], kv[0]))[0]
         frontend = frontends_by_id.get(frontend_id)
         if frontend is None:
             raise AnalysisError(f"passive log names unknown {frontend_id!r}")
-        location = geolocation.lookup(client_key)
+        served.append(frontend)
+        locations.append(geolocation.lookup(client_key))
+        weights.append(float(sum(counts.values())))
+
+    to_frontend: List[float] = []
+    past_closest: List[float] = []
+    nearest_rows = rank_frontends(frontends, locations, 1)
+    for frontend, location, ((_, nearest),) in zip(
+        served, locations, nearest_rows
+    ):
         distance = haversine_km(location, frontend.location)
-        nearest = nearest_frontends(frontends_tuple, location, 1)[0]
         nearest_km = haversine_km(location, nearest.location)
         to_frontend.append(distance)
         past_closest.append(max(0.0, distance - nearest_km))
-        weights.append(float(sum(counts.values())))
 
     if not to_frontend:
         raise AnalysisError(f"no passive traffic on day {day}")

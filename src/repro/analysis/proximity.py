@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.errors import AnalysisError
 from repro.analysis.stats import CdfSeries, WeightedDistribution, linear_grid, log2_grid
-from repro.cdn.frontend import FrontEnd, nearest_frontends
+from repro.cdn.frontend import FrontEnd, rank_frontends
 from repro.clients.population import ClientPrefix
 from repro.dns.authoritative import ANYCAST_TARGET
 from repro.geo.geolocation import GeolocationDatabase
@@ -64,16 +64,17 @@ def nth_closest_distance_cdf(
         raise AnalysisError(
             f"deployment has {len(frontends)} front-ends, need >= {max_n}"
         )
+    locations = [
+        geolocation.lookup(client.key) if geolocation else client.location
+        for client in clients
+    ]
     per_n: List[List[float]] = [[] for _ in range(max_n)]
-    weights: List[float] = []
-    for client in clients:
-        location = (
-            geolocation.lookup(client.key) if geolocation else client.location
-        )
-        nearest = nearest_frontends(tuple(frontends), location, max_n)
-        for index, frontend in enumerate(nearest):
-            per_n[index].append(frontend.distance_km(location))
-        weights.append(client.daily_queries if weighted else 1.0)
+    for nearest in rank_frontends(frontends, locations, max_n):
+        for index, (distance, _) in enumerate(nearest):
+            per_n[index].append(distance)
+    weights = [
+        client.daily_queries if weighted else 1.0 for client in clients
+    ]
 
     grid = log2_grid(64.0, 8192.0)
     series: List[CdfSeries] = []
@@ -142,21 +143,27 @@ def diminishing_returns(
             if target_id not in per_fe or value < per_fe[target_id]:
                 per_fe[target_id] = value
 
+    # The candidate lists of every distinct LDNS of a measured /24, in
+    # one ranking; LDNS are geolocated in first-appearance order.
+    measured_clients = [
+        (client, min_latency[client.key])
+        for client in dataset.clients
+        if min_latency.get(client.key)
+    ]
+    ldns_ids = list(
+        dict.fromkeys(client.ldns_id for client, _ in measured_clients)
+    )
+    ranked = rank_frontends(
+        frontends, [geolocation.lookup(ldns_id) for ldns_id in ldns_ids], max_n
+    )
+    candidate_ids = {
+        ldns_id: tuple(fe.frontend_id for _, fe in nearest)
+        for ldns_id, nearest in zip(ldns_ids, ranked)
+    }
+
     per_size_values: Dict[int, List[float]] = {n: [] for n in candidate_sizes}
-    frontends_tuple = tuple(frontends)
-    candidate_cache: Dict[str, Tuple[str, ...]] = {}
-    for client in dataset.clients:
-        measured = min_latency.get(client.key)
-        if not measured:
-            continue
-        ordered = candidate_cache.get(client.ldns_id)
-        if ordered is None:
-            location = geolocation.lookup(client.ldns_id)
-            ordered = tuple(
-                fe.frontend_id
-                for fe in nearest_frontends(frontends_tuple, location, max_n)
-            )
-            candidate_cache[client.ldns_id] = ordered
+    for client, measured in measured_clients:
+        ordered = candidate_ids[client.ldns_id]
         for n in candidate_sizes:
             candidates = ordered[:n]
             values = [

@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.cdn.deployment import CdnDeployment
-from repro.cdn.frontend import FrontEnd
+from repro.cdn.frontend import FrontEnd, rank_frontends
 from repro.geo.metros import MetroDatabase
 
 
@@ -68,13 +68,13 @@ class CdnBackbone:
             raise ConfigurationError(
                 "backbone needs at least one live front-end"
             )
+        codes = sorted(deployment.pop_metros)
+        locations = [metro_db.get(code).location for code in codes]
+        nearest = rank_frontends(candidates, locations, 1)
         self._routes: Dict[str, BackboneRoute] = {}
-        for code in sorted(deployment.pop_metros):
-            ingress_location = metro_db.get(code).location
-            best = min(
-                candidates,
-                key=lambda fe: (fe.distance_km(ingress_location), fe.frontend_id),
-            )
+        for code, ingress_location, ((_, best),) in zip(
+            codes, locations, nearest
+        ):
             self._routes[code] = BackboneRoute(
                 ingress_metro=code,
                 frontend=best,

@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.analysis.anycast_perf import anycast_penalty_ccdf
 from repro.analysis.load import load_latency_tradeoff, shed_traffic_fractions
@@ -62,6 +62,7 @@ from repro.simulation.episodes import OverloadPlan
 from repro.simulation.scenario import ScenarioConfig
 from repro.telemetry import (
     BenchHistory,
+    RunContext,
     Telemetry,
     TelemetrySnapshot,
     TraceLog,
@@ -325,14 +326,17 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _configure_telemetry(args: argparse.Namespace, study: AnycastStudy) -> None:
-    """Install the structured-log handler when either flag was given."""
+def _configure_telemetry(
+    args: argparse.Namespace, context: RunContext
+) -> None:
+    """Install the structured-log handler, bound to ``context``, when
+    either flag was given."""
     if args.log_level is None and args.log_format is None:
         return
     configure_logging(
         level=args.log_level or "info",
         fmt=args.log_format or "text",
-        context=study.context,
+        context=context,
     )
 
 
@@ -482,13 +486,20 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
 def _run_service(
     args: argparse.Namespace,
     config: ServiceConfig,
-    dataset: StudyDataset,
+    source: Callable[[], StudyDataset],
     label: str,
 ) -> int:
-    """Stream a dataset through the live service and write its outputs."""
-    telemetry = Telemetry(
-        context={**service_context(config).as_dict(), "mode": label}
-    )
+    """Stream the dataset ``source`` returns through the live service
+    and write its outputs.
+
+    The structured logs carry the service's run identity from before
+    ``source`` is called (a replay's export load included) to the end;
+    ``serve`` logs its campaign half under the campaign's.
+    """
+    context = service_context(config)
+    _configure_telemetry(args, context)
+    dataset = source()
+    telemetry = Telemetry(context={**context.as_dict(), "mode": label})
     listener = (
         _progress_ticker() if getattr(args, "progress", False) else None
     )
@@ -570,31 +581,29 @@ def cmd_serve(args: argparse.Namespace) -> int:
     loop consuming the stream.
     """
     study = AnycastStudy(_study_config(args))
-    _configure_telemetry(args, study)
+    _configure_telemetry(args, study.context)
     dataset = study.dataset
     print(
         f"campaign dataset ready: {dataset.measurement_count:,} "
         f"measurements over {dataset.calendar.num_days} days; streaming"
     )
-    return _run_service(args, _service_config(args), dataset, "serve")
+    return _run_service(args, _service_config(args), lambda: dataset, "serve")
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
     """Stream a recorded dataset export through the live service."""
-    config = _service_config(args)
-    if args.log_level is not None or args.log_format is not None:
-        configure_logging(
-            level=args.log_level or "info",
-            fmt=args.log_format or "text",
-            context=service_context(config),
-        )
-    return _run_service(args, config, load_dataset(args.dataset), "replay")
+    return _run_service(
+        args,
+        _service_config(args),
+        lambda: load_dataset(args.dataset),
+        "replay",
+    )
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     """Run a study and print (or write) the full figure report."""
     study = AnycastStudy(_study_config(args), campaign=_campaign_config(args))
-    _configure_telemetry(args, study)
+    _configure_telemetry(args, study.context)
     report = study.full_report()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -619,7 +628,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     """Run a campaign and persist its dataset as JSON."""
     study = AnycastStudy(_study_config(args), campaign=_campaign_config(args))
-    _configure_telemetry(args, study)
+    _configure_telemetry(args, study.context)
     dataset = study.dataset
     save_dataset(dataset, args.dataset)
     if dataset.is_partial:
@@ -754,7 +763,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 def cmd_troubleshoot(args: argparse.Namespace) -> int:
     """Find the worst anycast vantages and print their traceroutes."""
     study = AnycastStudy(_study_config(args))
-    _configure_telemetry(args, study)
+    _configure_telemetry(args, study.context)
     scenario = study.scenario
     topology = scenario.topology
     network = scenario.network
@@ -792,7 +801,7 @@ def cmd_troubleshoot(args: argparse.Namespace) -> int:
 def cmd_failover(args: argparse.Namespace) -> int:
     """Withdraw a front-end and print the §2 overload cascade."""
     study = AnycastStudy(_study_config(args))
-    _configure_telemetry(args, study)
+    _configure_telemetry(args, study.context)
     scenario = study.scenario
     simulator = WithdrawalSimulator(
         scenario.topology,

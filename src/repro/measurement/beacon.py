@@ -107,9 +107,11 @@ class BeaconTargetSelector:
         first (computed from geolocated position, cached)."""
         cached = self._candidates.get(ldns_id)
         if cached is None:
-            location = self._geolocation.lookup(ldns_id)
-            count = min(self._config.candidate_count, len(self._frontends))
-            nearest = nearest_frontends(self._frontends, location, count)
+            nearest = nearest_frontends(
+                self._frontends,
+                self._geolocation.lookup(ldns_id),
+                self._config.candidate_count,
+            )
             cached = tuple(fe.frontend_id for fe in nearest)
             self._candidates[ldns_id] = cached
             # Random-pick weights for ranks 2..N (1-indexed ranks).

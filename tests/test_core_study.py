@@ -1,11 +1,22 @@
 """End-to-end tests: the full study produces every figure."""
 
+import hashlib
+
 import pytest
 
 from repro.core.study import AnycastStudy
 from repro.clients.population import ClientPopulationConfig
+from repro.simulation.campaign import CampaignConfig
 from repro.simulation.clock import SimulationCalendar
 from repro.simulation.scenario import ScenarioConfig
+
+#: SHA-256 of the formatted Figs 1, 2 and 4 (the nearest-front-end
+#: rankings) of a 60 /24 x 2-day matrix-engine study at seed 7.
+RANKED_FIGURE_SHA256 = {
+    "fig1": "49cca91084d89a2eebdf22949f09090a3db5e2f8f76d84f4c6699a08cf3890ac",
+    "fig2": "74bbcecbd9a67b30eeb01ed824e1073ed9aa131d3d9603aa7825eb87f19a777f",
+    "fig4": "7c61fd1528a598a48295fb51346d5b5a5cb9626d768f98bf7d0bb0a3208c0959",
+}
 
 
 @pytest.fixture(scope="module")
@@ -16,6 +27,26 @@ def study():
         calendar=SimulationCalendar(num_days=3),
     )
     return AnycastStudy(config)
+
+
+def test_ranked_figure_text_is_pinned():
+    study = AnycastStudy(
+        ScenarioConfig(
+            seed=7,
+            population=ClientPopulationConfig(prefix_count=60),
+            calendar=SimulationCalendar(num_days=2),
+        ),
+        campaign=CampaignConfig(engine="matrix"),
+    )
+    sections = {
+        "fig1": study.fig1_diminishing_returns().format(),
+        "fig2": study.fig2_client_distance().format(),
+        "fig4": study.fig4_anycast_distance().format(),
+    }
+    assert {
+        name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for name, text in sections.items()
+    } == RANKED_FIGURE_SHA256
 
 
 def test_dataset_cached(study):

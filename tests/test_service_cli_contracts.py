@@ -12,7 +12,10 @@ engine) and replayed through ``repro replay`` three ways:
   record faults, while a replay under other record faults must not
   adopt that checkpoint.
 
-``repro trace`` summarizes the unpaced replay's trace.
+``repro trace`` summarizes the unpaced replay's trace.  A separate
+``repro serve`` run (20 /24s x 2 days) checks that the streaming half
+logs under the service's run identity, the campaign half under the
+campaign's.
 
 Every file lands in one ``service`` directory under pytest's base
 temporary directory, so a run with ``--basetemp`` leaves the manifests,
@@ -41,6 +44,20 @@ RECORD_FAULTS = "record-corrupt:6,record-clock-skew:4"
 def _json(path):
     with open(path, encoding="utf-8") as handle:
         return json.load(handle)
+
+
+def _json_lines(text):
+    return [
+        json.loads(line) for line in text.splitlines() if line.startswith("{")
+    ]
+
+
+def _drop_log_handlers():
+    """Remove the handler that ``--log-format`` installed."""
+    root = logging.getLogger("repro")
+    for handler in list(root.handlers):
+        root.removeHandler(handler)
+    root.setLevel(logging.NOTSET)
 
 
 @pytest.fixture(scope="module")
@@ -201,19 +218,40 @@ def test_replay_logs_and_telemetry_carry_the_service_identity(
             "logged", "--log-format", "json", "--log-level", "debug",
             "--checkpoint-dir", str(out_dir / "service-identity-ckpt"),
         )
-        lines = [
-            json.loads(line)
-            for line in capsys.readouterr().err.splitlines()
-            if line.startswith("{")
-        ]
+        lines = _json_lines(capsys.readouterr().err)
     finally:
-        root = logging.getLogger("repro")
-        for handler in list(root.handlers):
-            root.removeHandler(handler)
-        root.setLevel(logging.NOTSET)
+        _drop_log_handlers()
     assert logged
-    assert lines
+    assert "dataset loaded" in {line["msg"] for line in lines}
     assert {line["config_hash"] for line in lines} == {logged}
     # A data setting moves the identity; a run setting does not.
     assert replay("sketch", "--sketch-threshold", "32") != logged
     assert replay("spill", "--checkpoint-every", "1000") == logged
+
+
+def test_serve_logs_its_stream_under_the_service_identity(out_dir, capsys):
+    telemetry = out_dir / "service-serve-identity.telemetry.json"
+    capsys.readouterr()
+    try:
+        assert main([
+            "serve", "--prefixes", "20", "--days", "2", "--seed", "7",
+            "--log-format", "json", "--log-level", "debug",
+            "--checkpoint-dir", str(out_dir / "service-serve-identity-ckpt"),
+            "--telemetry-out", str(telemetry),
+        ]) == 0
+        lines = _json_lines(capsys.readouterr().err)
+    finally:
+        _drop_log_handlers()
+    service = _json(telemetry)["context"]
+    assert service["engine"] == "service"
+    checkpoints = [
+        (line["config_hash"], line["engine"])
+        for line in lines
+        if line["logger"] == "repro.service.checkpoint"
+    ]
+    assert checkpoints
+    assert set(checkpoints) == {(service["config_hash"], "service")}
+    # The campaign half keeps the campaign's identity.
+    (built,) = [line for line in lines if line["msg"] == "scenario built"]
+    assert built["engine"] == "reference"
+    assert built["config_hash"] not in ("", service["config_hash"])
