@@ -28,7 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, Optional, Sequence, TypeVar
 
 from repro.analysis.anycast_perf import anycast_penalty_ccdf
 from repro.analysis.load import load_latency_tradeoff, shed_traffic_fractions
@@ -116,10 +116,8 @@ def _campaign_config(args: argparse.Namespace) -> CampaignConfig:
         resume=resume_from is not None,
         validation=getattr(args, "validation_policy", "lenient"),
         sketch_threshold=getattr(args, "sketch_threshold", None),
-        sketch_accuracy=getattr(args, "sketch_accuracy", None)
-        or DEFAULT_RELATIVE_ACCURACY,
-        sketch_max_buckets=getattr(args, "sketch_max_buckets", None)
-        or DEFAULT_MAX_BUCKETS,
+        sketch_accuracy=args.sketch_accuracy,
+        sketch_max_buckets=args.sketch_max_buckets,
         frontend_capacity=getattr(args, "frontend_capacity", None),
         overload_plan=(
             OverloadPlan.from_spec(getattr(args, "overload_plan"))
@@ -210,6 +208,7 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--sketch-accuracy", type=float, metavar="ALPHA",
+        default=DEFAULT_RELATIVE_ACCURACY,
         help=(
             "relative quantile accuracy of the sketches used above "
             "--sketch-threshold (default 0.01 = 1%%)"
@@ -217,6 +216,7 @@ def _add_scale_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--sketch-max-buckets", type=int, metavar="N",
+        default=DEFAULT_MAX_BUCKETS,
         help=(
             "hard per-sketch bucket cap; a sketch over the cap halves "
             "its resolution (doubling its error bound) until it fits, "
@@ -470,10 +470,8 @@ def _service_config(args: argparse.Namespace) -> ServiceConfig:
         ),
         validation=getattr(args, "validation_policy", "lenient"),
         sketch_threshold=getattr(args, "sketch_threshold", None),
-        sketch_accuracy=getattr(args, "sketch_accuracy", None)
-        or DEFAULT_RELATIVE_ACCURACY,
-        sketch_max_buckets=getattr(args, "sketch_max_buckets", None)
-        or DEFAULT_MAX_BUCKETS,
+        sketch_accuracy=args.sketch_accuracy,
+        sketch_max_buckets=args.sketch_max_buckets,
         checkpoint_dir=checkpoint_dir,
         resume=resume_from is not None,
         checkpoint_every_events=args.checkpoint_every,
@@ -659,10 +657,41 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+_Parsed = TypeVar("_Parsed")
+
+
+def _load_json_object(
+    path: str, parse: Callable[[Dict[str, Any]], _Parsed]
+) -> _Parsed:
+    """``parse`` applied to the JSON object stored at ``path``.
+
+    A missing or unreadable file, text that is not one JSON object, and
+    a document ``parse`` cannot read all raise one :class:`ReproError`
+    that names ``path``.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except OSError as error:
+        raise ReproError(f"{path}: {error.strerror or error}") from error
+    except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+        raise ReproError(f"{path}: not a JSON document ({error})") from error
+    if not isinstance(document, dict):
+        raise ReproError(
+            f"{path}: expected a JSON object, not a "
+            f"{type(document).__name__}"
+        )
+    try:
+        return parse(document)
+    except ReproError as error:
+        raise ReproError(f"{path}: {error}") from error
+    except (AttributeError, KeyError, TypeError, ValueError) as error:
+        raise ReproError(f"{path}: malformed document ({error!r})") from error
+
+
 def cmd_telemetry(args: argparse.Namespace) -> int:
     """Pretty-print a saved telemetry snapshot as a run report."""
-    with open(args.snapshot, "r", encoding="utf-8") as handle:
-        snapshot = TelemetrySnapshot.from_json(handle.read())
+    snapshot = _load_json_object(args.snapshot, TelemetrySnapshot.from_obj)
     if args.prometheus:
         print(snapshot.to_prometheus(), end="")
     else:
@@ -677,22 +706,18 @@ def cmd_trace(args: argparse.Namespace) -> int:
     ``--trace-out`` (sniffed by its ``traceEvents`` key) and the
     compact event-list form embedded in telemetry snapshots.
     """
-    with open(args.trace, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    if "traceEvents" in document:
-        trace = TraceLog.from_perfetto_obj(document)
-    elif "events" in document:
-        trace = TraceLog.from_obj(document)
-    elif "trace" in document:
-        # A telemetry snapshot with an embedded trace also works.
-        trace = TraceLog.from_obj(document["trace"])
-    else:
-        print(
-            f"{args.trace}: neither a Perfetto trace nor a repro trace "
-            "export",
-            file=sys.stderr,
-        )
-        return 2
+
+    def parse(document: Dict[str, Any]) -> TraceLog:
+        if "traceEvents" in document:
+            return TraceLog.from_perfetto_obj(document)
+        if "events" in document:
+            return TraceLog.from_obj(document)
+        if "trace" in document:
+            # A telemetry snapshot with an embedded trace also works.
+            return TraceLog.from_obj(document["trace"])
+        raise ReproError("neither a Perfetto trace nor a repro trace export")
+
+    trace = _load_json_object(args.trace, parse)
     print(format_trace_report(trace), end="")
     return 0
 
@@ -968,10 +993,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay.add_argument(
         "--sketch-accuracy", type=float, metavar="ALPHA",
+        default=DEFAULT_RELATIVE_ACCURACY,
         help="relative quantile accuracy above --sketch-threshold",
     )
     replay.add_argument(
         "--sketch-max-buckets", type=int, metavar="N",
+        default=DEFAULT_MAX_BUCKETS,
         help="hard per-sketch bucket cap in the service window",
     )
     replay.add_argument(

@@ -4,8 +4,12 @@ import os
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _campaign_config, _service_config, build_parser, main
 from repro.measurement.export import save_dataset
+from repro.measurement.sketch import (
+    DEFAULT_MAX_BUCKETS,
+    DEFAULT_RELATIVE_ACCURACY,
+)
 from tests.helpers import make_client, make_dataset
 
 
@@ -106,6 +110,8 @@ def test_troubleshoot_command(capsys):
     [
         (["--prefixes", "0"], "prefix_count must be >= 1"),
         (["--fault-plan", "bogus:1"], "unknown fault kind 'bogus'"),
+        (["--sketch-accuracy", "0"], "sketch_accuracy must be in (0, 0.5]"),
+        (["--sketch-max-buckets", "0"], "sketch_max_buckets must be >= 8"),
     ],
 )
 def test_run_bad_input_exits_with_one_line(tmp_path, capsys, flags, message):
@@ -119,21 +125,88 @@ def test_run_bad_input_exits_with_one_line(tmp_path, capsys, flags, message):
     assert not out_file.exists()
 
 
-def test_replay_damaged_export_exits_with_one_line(tmp_path, capsys):
+def _save_small_export(path):
     client = make_client(1)
-    path = str(tmp_path / "ds.json")
     save_dataset(
         make_dataset(
             [client],
             num_days=2,
             ecs_samples=[(0, client.key, "anycast", [10.0] * 25)],
         ),
-        path,
+        str(path),
     )
+
+
+def _assert_one_error_line(capsys, prefix, message=""):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(prefix), err
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_replay_damaged_export_exits_with_one_line(tmp_path, capsys):
+    path = str(tmp_path / "ds.json")
+    _save_small_export(path)
     with open(path, "r+b") as handle:
         handle.truncate(os.path.getsize(path) - 40)
     assert main(["replay", path]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    _assert_one_error_line(capsys, "error: ")
+
+
+def test_sketch_flag_defaults_are_the_library_defaults():
+    parser = build_parser()
+    run = _campaign_config(parser.parse_args(["run", "out.json"]))
+    replay = _service_config(parser.parse_args(["replay", "ds.json"]))
+    for config in (run, replay):
+        assert config.sketch_accuracy == DEFAULT_RELATIVE_ACCURACY
+        assert config.sketch_max_buckets == DEFAULT_MAX_BUCKETS
+
+
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--sketch-accuracy", "relative_accuracy must be in (0, 0.5]"),
+        ("--sketch-max-buckets", "max_buckets must be >= 8"),
+    ],
+)
+def test_replay_rejects_zero_sketch_setting(tmp_path, capsys, flag, message):
+    path = tmp_path / "ds.json"
+    _save_small_export(path)
+    code = main(["replay", str(path), "--sketch-threshold", "4", flag, "0"])
+    assert code == 2
+    _assert_one_error_line(capsys, "error: ", message)
+
+
+#: Stands for a dataset export passed where JSON is expected.
+EXPORT = object()
+
+
+@pytest.mark.parametrize(
+    "command, content, message",
+    [
+        (command, content, message)
+        for command in ("trace", "telemetry")
+        for content, message in (
+            (None, "No such file or directory"),
+            ("{not json", "not a JSON document"),
+            (EXPORT, "not a JSON document"),
+            ("[1, 2]", "expected a JSON object, not a list"),
+        )
+    ]
+    + [
+        ("trace", '{"a": 1}', "neither a Perfetto trace nor a repro trace"),
+        ("trace", '{"traceEvents": [{"ph": "X"}]}', "malformed document"),
+        ("telemetry", '{"a": 1}', "unsupported telemetry snapshot format"),
+    ],
+)
+def test_trace_and_telemetry_bad_input_exit_with_one_line(
+    tmp_path, capsys, command, content, message
+):
+    path = tmp_path / "input.json"
+    if content is EXPORT:
+        _save_small_export(path)
+    elif content is not None:
+        path.write_text(content, encoding="utf-8")
+    assert main([command, str(path)]) == 2
+    _assert_one_error_line(capsys, f"error: {path}: ", message)

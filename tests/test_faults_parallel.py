@@ -507,7 +507,7 @@ class TestEngineDifferential:
     def test_firing_points_and_counters_match_across_engines(
         self, chaos_scenario
     ):
-        spec = "crash:1,exception:1,merge:1"
+        spec = "crash:1,exception:1,corrupt:1,merge:1"
         fault_counter_names = (
             "faults.injected_total",
             "shard.retries_total",
@@ -539,7 +539,7 @@ class TestEngineDifferential:
         assert results["reference"] == results["vectorized"]
         fired = results["reference"][0]
         assert sorted(kind for _, _, kind in fired) == [
-            "crash", "exception", "merge",
+            "corrupt", "crash", "exception", "merge",
         ]
 
 

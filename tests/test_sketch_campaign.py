@@ -9,7 +9,12 @@ error tolerance of the exact-mode answers.
 
 import pytest
 
-from repro.analysis.anycast_perf import anycast_penalty_ccdf
+from repro.analysis.anycast_perf import (
+    EUROPE,
+    UNITED_STATES,
+    WORLD,
+    anycast_penalty_ccdf,
+)
 from repro.analysis.poor_paths import poor_path_prevalence
 from repro.analysis.prediction_eval import evaluate_prediction
 from repro.clients.population import ClientPopulationConfig
@@ -177,15 +182,22 @@ class TestFigureTolerance:
         ).run()
         return exact, sketched
 
+    def test_sketch_mode_keeps_every_measurement(self, figure_datasets):
+        exact, sketched = figure_datasets
+        assert sketched.measurement_count == exact.measurement_count
+
     def test_fig3_penalty_fractions(self, figure_datasets):
         exact, sketched = figure_datasets
         reference = anycast_penalty_ccdf(exact).fraction_slower
         bounded = anycast_penalty_ccdf(sketched).fraction_slower
-        for region in ("world", "europe"):
-            for threshold in (10.0, 25.0, 100.0):
-                assert reference[region][threshold] == pytest.approx(
-                    bounded[region][threshold], abs=0.05
-                )
+        assert set(reference) == {EUROPE, WORLD, UNITED_STATES}
+        assert set(bounded) == set(reference)
+        for region, curve in reference.items():
+            assert set(curve) == {1.0, 10.0, 25.0, 50.0, 100.0}
+            for threshold, fraction in curve.items():
+                assert bounded[region][threshold] == pytest.approx(
+                    fraction, abs=0.05
+                ), (region, threshold)
 
     def test_fig5_poor_path_prevalence(self, figure_datasets):
         exact, sketched = figure_datasets
