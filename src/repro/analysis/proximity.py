@@ -126,22 +126,47 @@ def diminishing_returns(
         raise AnalysisError("candidate sizes must be positive")
     max_n = max(candidate_sizes)
 
-    # Per client: min observed latency per unicast front-end, pooled days.
-    min_latency: Dict[str, Dict[str, float]] = {}
+    # Per client: min observed latency per unicast front-end, pooled
+    # days.  Every day's unicast cells stack into (client, front-end,
+    # day minimum) columns under global name codes, looked up once per
+    # distinct name of a block; one sort then folds the days.
+    group_codes: Dict[str, int] = {}
+    target_codes: Dict[str, int] = {}
+    group_cols: List[np.ndarray] = [np.empty(0, np.int64)]
+    target_cols: List[np.ndarray] = [np.empty(0, np.int64)]
+    low_cols: List[np.ndarray] = [np.empty(0)]
     aggregates = dataset.ecs_aggregates
     for day in aggregates.days:
         block = aggregates.block(day)
-        groups, targets = block.names()
-        lows = block.extrema()[0].tolist()
-        unicast = (block.target_codes != block.target_code(ANYCAST_TARGET)) & (
-            block.counts() > 0
+        unicast = np.flatnonzero(
+            (block.target_codes != block.target_code(ANYCAST_TARGET))
+            & (block.counts() > 0)
         )
-        for cell in np.flatnonzero(unicast).tolist():
-            per_fe = min_latency.setdefault(groups[cell], {})
-            target_id = targets[cell]
-            value = lows[cell]
-            if target_id not in per_fe or value < per_fe[target_id]:
-                per_fe[target_id] = value
+        global_groups = np.array(
+            [group_codes.setdefault(g, len(group_codes)) for g in block.groups],
+            dtype=np.int64,
+        )
+        global_targets = np.array(
+            [target_codes.setdefault(t, len(target_codes)) for t in block.targets],
+            dtype=np.int64,
+        )
+        group_cols.append(global_groups[block.cell_groups()[unicast]])
+        target_cols.append(global_targets[block.target_codes[unicast]])
+        low_cols.append(block.extrema()[0][unicast])
+    keys = np.concatenate(group_cols) * len(target_codes) + np.concatenate(
+        target_cols
+    )
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    minima = np.minimum.reduceat(np.concatenate(low_cols)[order], starts)
+    group_names, target_names = list(group_codes), list(target_codes)
+    min_latency: Dict[str, Dict[str, float]] = {}
+    for key, value in zip(keys[starts].tolist(), minima.tolist()):
+        group, target = divmod(key, len(target_names))
+        min_latency.setdefault(group_names[group], {})[
+            target_names[target]
+        ] = value
 
     # The candidate lists of every distinct LDNS of a measured /24, in
     # one ranking; LDNS are geolocated in first-appearance order.

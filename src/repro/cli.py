@@ -578,6 +578,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     ``--sketch-*``, and the checkpoint flags all apply to the *service*
     loop consuming the stream.
     """
+    config = _service_config(args)
     study = AnycastStudy(_study_config(args))
     _configure_telemetry(args, study.context)
     dataset = study.dataset
@@ -585,7 +586,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"campaign dataset ready: {dataset.measurement_count:,} "
         f"measurements over {dataset.calendar.num_days} days; streaming"
     )
-    return _run_service(args, _service_config(args), lambda: dataset, "serve")
+    return _run_service(args, config, lambda: dataset, "serve")
 
 
 def cmd_replay(args: argparse.Namespace) -> int:

@@ -66,7 +66,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.errors import AnalysisError, MeasurementError
+from repro.errors import AnalysisError, ConfigurationError, MeasurementError
 
 #: Schema marker of the sketch state, hashed by :meth:`LatencySketch
 #: .canonical_state`.
@@ -93,6 +93,29 @@ _FLOAT64_MANTISSA_BITS = 52
 
 #: Hard cap: beyond ~26 kept bits the "sketch" is denser than float32.
 _MAX_MANTISSA_BITS = 26
+
+
+def check_sketch_settings(
+    threshold: Optional[int], accuracy: float, max_buckets: int
+) -> None:
+    """Refuse sketch settings no promoted digest could run with.
+
+    The one rule behind the campaign's and the service's sketch knobs,
+    checked at config time: a bad accuracy or bucket cap fails even
+    when no digest ever crosses the threshold.
+
+    Raises:
+        ConfigurationError: on a threshold below 1, an accuracy outside
+            ``(0, 0.5]`` or a bucket cap below :data:`MIN_MAX_BUCKETS`.
+    """
+    if threshold is not None and threshold < 1:
+        raise ConfigurationError("sketch_threshold must be >= 1")
+    if not 0.0 < accuracy <= 0.5:
+        raise ConfigurationError("sketch_accuracy must be in (0, 0.5]")
+    if max_buckets < MIN_MAX_BUCKETS:
+        raise ConfigurationError(
+            f"sketch_max_buckets must be >= {MIN_MAX_BUCKETS}"
+        )
 
 
 def mantissa_bits_for(relative_accuracy: float) -> int:

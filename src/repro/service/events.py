@@ -24,9 +24,12 @@ order and shard interleaving, mergeable across partial streams, and
 O(1) to checkpoint.  That is exactly the property the chaos-parity
 guarantee needs: a killed-and-resumed stream admits the same multiset,
 so it reaches the same digest as an uninterrupted run, bit for bit.
-A block folds in through :meth:`StreamDigest.update_block`, which
-hashes each beacon's :meth:`BeaconEvent.encode` bytes (one shared
-encoder) and adds the hashes in one numpy pass.
+A block folds in through :meth:`StreamDigest.update_block`.  Beacons
+of one run that carry the same RTT have the same encoding, so the
+block hashes each distinct (run, RTT) payload once and adds its hash
+weighted by how often it occurs: the same sum from fewer hashes.
+:func:`encode_beacons` is the one encoder of beacon payloads, for
+:meth:`BeaconEvent.encode` and the block path alike.
 """
 
 from __future__ import annotations
@@ -59,19 +62,29 @@ RunKey = Tuple[str, str, str]
 
 def encode_beacons(
     day: int,
-    client_key: str,
-    ldns_id: str,
-    target_id: str,
+    keys: Sequence[RunKey],
+    runs: Iterable[int],
     rtts: Iterable[float],
+    codes: Iterable[int],
 ) -> List[bytes]:
-    """Canonical byte encodings of beacons sharing one key.
+    """Canonical byte encodings of same-day beacons: beacon ``i`` has
+    run key ``keys[runs[i]]`` and RTT ``rtts[codes[i]]``.
 
     The stream digest's hash input, shared by :meth:`BeaconEvent.encode`
     and :meth:`StreamDigest.update_block` so the two cannot drift apart.
-    RTTs must be Python floats: ``repr`` of a numpy scalar differs.
+    Each key's prefix and each RTT's ``repr`` are rendered once, however
+    many beacons share them.  RTTs must be Python floats: ``repr`` of a
+    numpy scalar differs.
     """
-    prefix = f"beacon\x1f{day}\x1f{client_key}\x1f{ldns_id}\x1f{target_id}\x1f"
-    return [f"{prefix}{rtt!r}".encode("utf-8") for rtt in rtts]
+    prefixes = [
+        f"beacon\x1f{day}\x1f{client_key}\x1f{ldns_id}\x1f{target_id}\x1f"
+        for client_key, ldns_id, target_id in keys
+    ]
+    texts = [repr(rtt) for rtt in rtts]
+    return [
+        f"{prefixes[run]}{texts[code]}".encode("utf-8")
+        for run, code in zip(runs, codes)
+    ]
 
 
 @dataclass(frozen=True)
@@ -96,10 +109,8 @@ class BeaconEvent:
 
     def encode(self) -> bytes:
         """Canonical byte encoding (the stream digest's hash input)."""
-        return encode_beacons(
-            self.day, self.client_key, self.ldns_id, self.target_id,
-            (self.rtt_ms,),
-        )[0]
+        key = (self.client_key, self.ldns_id, self.target_id)
+        return encode_beacons(self.day, (key,), (0,), (self.rtt_ms,), (0,))[0]
 
 
 @dataclass(frozen=True)
@@ -356,22 +367,37 @@ class StreamDigest:
     def update_block(self, block: BeaconBlock) -> None:
         """Fold every beacon of an admitted block into the digest.
 
-        Equal to :meth:`update` over ``block.events()``: each beacon
-        hashes its :meth:`BeaconEvent.encode` bytes, and the 256-bit
-        hashes add up as eight 32-bit limb columns in one numpy sum.
+        Equal to :meth:`update` over ``block.events()``.  Beacons of one
+        run whose RTTs have the same float64 bits (so ``0.0`` and
+        ``-0.0`` stay apart) share one payload: each distinct payload is
+        encoded by :func:`encode_beacons` and hashed once, and its
+        256-bit hash is added once per beacon, as eight 32-bit limb
+        columns weighted by the payload counts in one numpy product.
         """
+        # The distinct RTT bit patterns, then the distinct (run, RTT)
+        # pairs with their counts.
+        rtts, codes = np.unique(block.rtts.view(np.uint64), return_inverse=True)
+        runs = np.repeat(np.arange(len(block.keys)), np.diff(block.bounds))
+        pairs, counts = np.unique(runs * len(rtts) + codes, return_counts=True)
+        runs, codes = np.divmod(pairs, len(rtts))
         sha256 = hashlib.sha256
-        values = block.rtts.tolist()
         hashes = [
             sha256(payload).digest()
-            for client_key, ldns_id, target_id, start, stop in block.runs()
             for payload in encode_beacons(
-                block.day, client_key, ldns_id, target_id, values[start:stop]
+                block.day,
+                block.keys,
+                runs.tolist(),
+                rtts.view(np.float64).tolist(),
+                codes.tolist(),
             )
         ]
         limbs = np.frombuffer(b"".join(hashes), dtype=">u4").reshape(-1, 8)
+        # The counts sum to len(block), so each weighted limb column is
+        # at most len(block) * (2**32 - 1), the bound an unweighted sum
+        # has too: no uint64 overflow below 2**32 beacons per block.
+        weighted = counts.astype(np.uint64) @ limbs.astype(np.uint64)
         total = 0
-        for limb in limbs.sum(axis=0, dtype=np.uint64).tolist():
+        for limb in weighted.tolist():
             total = (total << 32) + limb
         self._sum = (self._sum + total) % _DIGEST_MODULUS
         self._count += len(block)

@@ -48,6 +48,7 @@ from repro.identity import IDENTITY, RUN, service_context
 from repro.measurement.sketch import (
     DEFAULT_MAX_BUCKETS,
     DEFAULT_RELATIVE_ACCURACY,
+    check_sketch_settings,
 )
 from repro.measurement.validate import (
     QuarantineLog,
@@ -144,6 +145,9 @@ class ServiceConfig:
         ValidationPolicy.parse(self.validation)
         if self.window_days < 1:
             raise ConfigurationError("window_days must be >= 1")
+        check_sketch_settings(
+            self.sketch_threshold, self.sketch_accuracy, self.sketch_max_buckets
+        )
         if self.speed < 0:
             raise ConfigurationError("speed must be >= 0")
         if self.checkpoint_every_events < 0:

@@ -80,7 +80,7 @@ from repro.measurement.aggregate import GroupedDailyAggregates, RequestDiffLog
 from repro.measurement.sketch import (
     DEFAULT_MAX_BUCKETS,
     DEFAULT_RELATIVE_ACCURACY,
-    MIN_MAX_BUCKETS,
+    check_sketch_settings,
 )
 from repro.telemetry.memory import peak_rss_bytes
 from repro.measurement.backend import BeaconBackend
@@ -285,16 +285,9 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if self.sketch_threshold is not None and self.sketch_threshold < 1:
-            raise ConfigurationError("sketch_threshold must be >= 1")
-        if not 0.0 < self.sketch_accuracy <= 0.5:
-            raise ConfigurationError(
-                "sketch_accuracy must be in (0, 0.5]"
-            )
-        if self.sketch_max_buckets < MIN_MAX_BUCKETS:
-            raise ConfigurationError(
-                f"sketch_max_buckets must be >= {MIN_MAX_BUCKETS}"
-            )
+        check_sketch_settings(
+            self.sketch_threshold, self.sketch_accuracy, self.sketch_max_buckets
+        )
         if self.validation not in ("strict", "lenient", "repair"):
             raise ConfigurationError(
                 f"unknown validation policy {self.validation!r}; expected "

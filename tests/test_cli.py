@@ -166,7 +166,7 @@ def test_sketch_flag_defaults_are_the_library_defaults():
 @pytest.mark.parametrize(
     "flag, message",
     [
-        ("--sketch-accuracy", "relative_accuracy must be in (0, 0.5]"),
+        ("--sketch-accuracy", "sketch_accuracy must be in (0, 0.5]"),
         ("--sketch-max-buckets", "max_buckets must be >= 8"),
     ],
 )

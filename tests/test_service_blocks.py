@@ -7,16 +7,21 @@ hashes a block at a time.  These tests pin what that must not change:
 * the service's three digests and quarantine totals on the chaos
   suite's dirty replay, recorded from the per-event loop;
 * :meth:`StreamDigest.update_block` equals per-event
-  :meth:`StreamDigest.update`, for every float shape ``repr`` renders;
+  :meth:`StreamDigest.update`, for every float shape ``repr`` renders,
+  for payloads that repeat (it hashes each distinct one once and
+  weights it by its count), for empty runs and blocks, and over any
+  cut of a block;
 * an :class:`EventStream` is the event sequence it was built from;
 * kill points, resume cursors and mid-day spills stay event ordinals,
   even when they fall strictly inside a day block.
 """
 
 import dataclasses
+import hashlib
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import repro.service.ingest as ingest
@@ -287,6 +292,23 @@ SPECIAL_RTTS = (
     float("nan"),
 )
 
+
+def float_of_bits(bits):
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+#: A small RTT pool, so (run, RTT) payloads repeat: ``0.0`` and
+#: ``-0.0`` compare equal but render apart, and the two NaNs differ in
+#: their bits but share the text ``nan``.
+REPEATED_RTTS = (
+    0.0,
+    -0.0,
+    12.0,
+    13.0,
+    float_of_bits(0x7FF8000000000000),
+    float_of_bits(0x7FF8000000000001),
+)
+
 CLIENTS = (("10.0.1.0/24", "ldns-a"), ("10.0.2.0/24", "ldns-b"))
 TARGETS = ("anycast", "fe-a")
 
@@ -305,6 +327,26 @@ def beacons(day=st.integers(0, 2)):
     )
 
 
+def repeated_runs():
+    """Run lengths and pool RTTs: each run is one key drawn from
+    ``CLIENTS`` x ``TARGETS``, so keys recur across runs too."""
+    return st.lists(
+        st.tuples(
+            st.integers(0, len(CLIENTS) - 1),
+            st.integers(0, len(TARGETS) - 1),
+            st.lists(st.sampled_from(REPEATED_RTTS), max_size=40),
+        ),
+        max_size=8,
+    )
+
+
+def per_event_digest(events):
+    digest = StreamDigest()
+    for event in events:
+        digest.update(event)
+    return digest
+
+
 passives = st.builds(
     PassiveEvent,
     st.integers(0, 2),
@@ -318,9 +360,7 @@ class TestBlockDefinition:
     @SETTINGS
     @given(events=st.lists(beacons(day=st.just(1)), max_size=60))
     def test_update_block_equals_per_event_update(self, events):
-        per_event = StreamDigest()
-        for event in events:
-            per_event.update(event)
+        per_event = per_event_digest(events)
         block = StreamDigest()
         block.update_block(BeaconBlock.from_events(events))
         assert block.to_obj() == per_event.to_obj()
@@ -331,9 +371,7 @@ class TestBlockDefinition:
             BeaconEvent(0, "10.0.1.0/24", "ldns-a", "anycast", rtt)
             for rtt in SPECIAL_RTTS
         ]
-        per_event = StreamDigest()
-        for event in events:
-            per_event.update(event)
+        per_event = per_event_digest(events)
         block = StreamDigest()
         block.update_block(BeaconBlock.from_events(events))
         assert block.hexdigest() == per_event.hexdigest()
@@ -366,6 +404,75 @@ class TestBlockDefinition:
         assert [e.encode() for e in pieces] == [e.encode() for e in events]
         for piece in (left, right):
             assert all(start < stop for *_, start, stop in piece.runs())
+
+    @SETTINGS
+    @given(runs=repeated_runs(), cuts=st.lists(st.integers(0, 320), max_size=4))
+    @example(runs=[(0, 0, [0.0, -0.0] * 20)], cuts=[7])
+    @example(runs=[(0, 0, [12.0] * 5), (1, 1, [12.0] * 3)], cuts=[2, 6])
+    def test_repeated_payloads_over_any_cuts(self, runs, cuts):
+        keys = [(*CLIENTS[client], TARGETS[target]) for client, target, _ in runs]
+        block = BeaconBlock.from_columns(
+            1, keys, [np.array(values, np.float64) for *_, values in runs]
+        )
+        events = list(block.events())
+        cuts = sorted(min(cut, len(block)) for cut in cuts)
+        whole, pieces = StreamDigest(), StreamDigest()
+        whole.update_block(block)
+        for start, stop in zip([0] + cuts, cuts + [len(block)]):
+            pieces.update_block(block.slice(start, stop))
+        assert pieces.to_obj() == whole.to_obj()
+        assert whole.to_obj() == per_event_digest(events).to_obj()
+        assert whole.count == len(events)
+
+    def test_empty_runs_and_an_empty_block(self):
+        key_a = ("10.0.1.0/24", "ldns-a", "anycast")
+        key_b = ("10.0.1.0/24", "ldns-a", "fe-a")
+        empty = StreamDigest()
+        empty.update_block(BeaconBlock(0, [], np.array([0]), np.empty(0)))
+        empty.update_block(
+            BeaconBlock(0, [key_a, key_b], np.array([0, 0, 0]), np.empty(0))
+        )
+        assert empty.to_obj() == StreamDigest().to_obj()
+        holed = BeaconBlock(
+            0,
+            [key_a, key_b, key_a],
+            np.array([0, 0, 3, 3]),
+            np.array([7.0, 7.0, -0.0]),
+        )
+        digest = StreamDigest()
+        digest.update_block(holed)
+        assert digest.to_obj() == per_event_digest(holed.events()).to_obj()
+
+    def test_a_block_of_invalid_beacons_admits_nothing(self):
+        """The scalar gate drops every value, so the service hashes an
+        empty block."""
+        events = [
+            BeaconEvent(0, "10.0.1.0/24", "ldns-a", target, float("nan"))
+            for target in ("anycast", "fe-a")
+            for _ in range(3)
+        ]
+        result = LiveService(ServiceConfig(), num_days=1).run_stream(events)
+        assert result.beacons_admitted == 0
+        assert result.quarantine_summary["dropped"] == 6
+        assert result.stream_count == 0
+        assert result.stream_digest == StreamDigest().hexdigest()
+
+    def test_a_long_run_of_one_rtt_weighs_its_hash_by_its_count(self):
+        count = 150_000
+        event = BeaconEvent(2, "10.0.1.0/24", "ldns-a", "fe-a", 23.0)
+        block = BeaconBlock(
+            2,
+            [("10.0.1.0/24", "ldns-a", "fe-a")],
+            np.array([0, count]),
+            np.full(count, 23.0),
+        )
+        digest = StreamDigest()
+        digest.update_block(block)
+        one = int.from_bytes(hashlib.sha256(event.encode()).digest(), "big")
+        assert digest.to_obj() == {
+            "sum": f"{count * one % (1 << 256):064x}",
+            "count": count,
+        }
 
     def test_a_block_holds_one_day(self):
         events = [

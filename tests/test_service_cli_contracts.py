@@ -12,10 +12,11 @@ engine) and replayed through ``repro replay`` three ways:
   record faults, while a replay under other record faults must not
   adopt that checkpoint.
 
-``repro trace`` summarizes the unpaced replay's trace.  A separate
-``repro serve`` run (20 /24s x 2 days) checks that the streaming half
-logs under the service's run identity, the campaign half under the
-campaign's.
+``repro trace`` summarizes the unpaced replay's trace.  A bad sketch
+setting fails ``repro replay`` at config time, before the export
+loads.  A separate ``repro serve`` run (20 /24s x 2 days) checks that
+the streaming half logs under the service's run identity, the campaign
+half under the campaign's.
 
 Every file lands in one ``service`` directory under pytest's base
 temporary directory, so a run with ``--basetemp`` leaves the manifests,
@@ -29,6 +30,7 @@ import shutil
 
 import pytest
 
+import repro.cli
 from repro.cli import main
 from repro.core.predictor import HistoryBasedPredictor
 from repro.measurement.export import load_dataset
@@ -227,6 +229,32 @@ def test_replay_logs_and_telemetry_carry_the_service_identity(
     # A data setting moves the identity; a run setting does not.
     assert replay("sketch", "--sketch-threshold", "32") != logged
     assert replay("spill", "--checkpoint-every", "1000") == logged
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--sketch-accuracy", "0.9", "sketch_accuracy must be in (0, 0.5]"),
+        ("--sketch-max-buckets", "2", "sketch_max_buckets must be >= 8"),
+        ("--sketch-threshold", "0", "sketch_threshold must be >= 1"),
+    ],
+)
+def test_replay_refuses_bad_sketch_settings_at_config(
+    campaign, monkeypatch, capsys, flag, value, message
+):
+    """Without a threshold no digest is ever promoted, yet the setting
+    still fails: at config time, before the export loads."""
+    loads = []
+    monkeypatch.setattr(repro.cli, "load_dataset", loads.append)
+    capsys.readouterr()
+    assert main(["replay", campaign, flag, value]) == 2
+    errors = [
+        line
+        for line in capsys.readouterr().err.splitlines()
+        if line.startswith("error:")
+    ]
+    assert errors == [f"error: {message}"]
+    assert loads == []
 
 
 def test_serve_logs_its_stream_under_the_service_identity(out_dir, capsys):

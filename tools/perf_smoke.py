@@ -14,7 +14,8 @@ cannot pass.
 The load leg reruns the vectorized campaign with finite front-end
 capacity, a live overload drill and fastroute shedding, and fails if its
 throughput falls more than ``--max-load-overhead`` below the
-capacity-off run's.
+capacity-off run's.  Every timed leg runs under the same tracemalloc
+probe, so the two rates compare like with like.
 
 The memory leg (``--memory-populations A,B``) runs a bounded sketch-mode
 campaign at two population sizes under a tracemalloc probe and fails if
@@ -39,7 +40,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import contextlib
 from typing import Dict, List, NamedTuple, Optional, Sequence
 
 from repro.clients.population import ClientPopulationConfig
@@ -68,8 +68,8 @@ class Leg(NamedTuple):
     snapshot: TelemetrySnapshot
     seconds: float
     rate: float
-    #: tracemalloc peak; None for an untraced leg.
-    peak_bytes: Optional[int]
+    #: tracemalloc peak.
+    peak_bytes: int
 
 
 def _scenario(seed: int, prefixes: int, days: int) -> Scenario:
@@ -82,22 +82,19 @@ def _scenario(seed: int, prefixes: int, days: int) -> Scenario:
     )
 
 
-def _timed_serial(
-    scenario: Scenario, config: CampaignConfig, traced: bool = True
-) -> Leg:
+def _timed_serial(scenario: Scenario, config: CampaignConfig) -> Leg:
     """Run one serial campaign; timings come from its telemetry snapshot.
 
-    A traced leg runs under a tracemalloc probe, which slows it.
+    Every leg runs under a tracemalloc probe, which slows it, so the
+    legs' rates compare like with like.
     """
     runner = CampaignRunner(scenario, config)
-    probe = MemoryProbe() if traced else contextlib.nullcontext()
-    with probe:
+    with MemoryProbe() as probe:
         dataset = runner.run()
     snapshot = runner.telemetry.snapshot()
     seconds = snapshot.gauges["campaign.wall_seconds"]["value"]
     rate = snapshot.counters["campaign.beacons_total"] / seconds
-    peak = probe.peak_bytes if traced else None
-    return Leg(dataset, snapshot, seconds, rate, peak)
+    return Leg(dataset, snapshot, seconds, rate, probe.peak_bytes)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -243,7 +240,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             overload_plan=OverloadPlan.from_spec("flash-crowd:1,drain:1"),
             load_policy="fastroute",
         ),
-        traced=False,
     )
     legs["load"] = load
     print(
